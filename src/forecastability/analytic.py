@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .core import ForecastabilityProfile, TimeSeries
+from .core import ForecastabilityProfile, TimeSeries, _ascending_horizons
 from .errors import CoverageError, DomainError, SingularSystem
 
 __all__ = [
@@ -114,20 +113,11 @@ class GaussianEntropySummary:
             )
 
 
-def _check_horizons(horizons) -> tuple[int, ...]:
-    horizons = tuple(int(h) for h in horizons)
-    if not horizons or horizons[0] < 1 or any(
-        b <= a for a, b in zip(horizons, horizons[1:])
-    ):
-        raise ValueError("horizons must be strictly ascending positive integers")
-    return horizons
-
-
 def ar1_profile(phi: float, horizons) -> ForecastabilityProfile:
     """Exact profile of a stationary AR(1): F(h) = -0.5*log(1 - phi^(2h))."""
     if abs(phi) >= 1:
         raise DomainError(f"AR(1) requires |phi| < 1, got {phi}")
-    horizons = _check_horizons(horizons)
+    horizons = _ascending_horizons(horizons)
     values = tuple(-0.5 * math.log1p(-(phi ** (2 * h))) for h in horizons)
     return ForecastabilityProfile(horizons=horizons, values_nats=values, source="analytic")
 
@@ -207,7 +197,7 @@ def gaussian_profile_from_acf(rho, p: int, horizons) -> ForecastabilityProfile:
     """
     if p < 1:
         raise ValueError("lag order p must be >= 1")
-    horizons = _check_horizons(horizons)
+    horizons = _ascending_horizons(horizons)
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1:
         raise ValueError("rho must be a 1-d sequence of autocorrelations")
@@ -275,6 +265,8 @@ def simulate(
     Deterministic in (spec, n, seed, burn_in).  Explicit-ACF specs have no
     finite recursion and are rejected.
     """
+    from scipy.signal import lfilter  # about 0.5 s to import; only used here
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:

@@ -43,11 +43,17 @@ from .analytic import (
     seasonal_ar_acf,
     simulate,
 )
-from .core import ForecastabilityProfile, InformationSetSpec, TimeSeries
+from .core import (
+    ForecastabilityProfile,
+    InformationSetSpec,
+    TimeSeries,
+    _ascending_horizons,
+)
 from .diagnostics import ProbeEvaluation, decompose_loss, fano_bound, pinsker_bound
 from .errors import (
     ConfigError,
     CoverageError,
+    DegenerateSample,
     DomainError,
     ForecastabilityError,
     InsufficientData,
@@ -62,12 +68,15 @@ _LN2 = math.log(2.0)
 _EXIT_CONTRACT = 2
 _EXIT_NO_DATA = 3
 
+_INT64_BOUND = 2.0 ** 63
+
 _CONTRACT_ERRORS = (
     DomainError,
     ConfigError,
     CoverageError,
     SingularSystem,
     MissingHorizon,
+    DegenerateSample,
     ValueError,
 )
 
@@ -147,11 +156,10 @@ def parse_horizons(text: str) -> tuple[int, ...]:
                 out.append(int(item))
             except ValueError:
                 raise ParseError(f"bad horizon {item!r}") from None
-    if not out or out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):
-        raise ParseError(
-            f"horizons must be strictly ascending positive integers, got {text!r}"
-        )
-    return tuple(out)
+    try:
+        return _ascending_horizons(out)
+    except ValueError as exc:
+        raise ParseError(f"{exc}, got {text!r}") from None
 
 
 def _split_rows(path: str) -> list[list[str]]:
@@ -215,6 +223,8 @@ def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
                 "(expected t_index,horizon,log_density)"
             )
         t_raw, h_raw, ld = float(cells[0]), float(cells[1]), float(cells[2])
+        if not all(-_INT64_BOUND <= v < _INT64_BOUND for v in (t_raw, h_raw)):
+            raise ParseError(f"{path}: index outside the int64 range in row {i + 1}")
         if t_raw != int(t_raw) or h_raw != int(h_raw):
             raise ParseError(f"{path}: non-integer index in row {i + 1}")
         grouped.setdefault(int(h_raw), []).append((int(t_raw), ld))
@@ -427,11 +437,17 @@ def _profile_rows(profile: ForecastabilityProfile, units: str):
     return ["horizon", value_col, "n_effective", "gap"], rows, shown
 
 
-def _warn_gaps(profile: ForecastabilityProfile):
-    for h in profile.gaps():
-        click.echo(f"warning: horizon {h}: insufficient data, gap reported", err=True)
-    if len(profile.gaps()) == len(profile.horizons):
+def _warn_gaps(requested, with_data):
+    """Warn for each requested horizon without data; fail if none has any."""
+    for h in requested:
+        if h not in with_data:
+            click.echo(f"warning: horizon {h}: insufficient data, gap reported", err=True)
+    if not with_data:
         raise InsufficientData("insufficient data at every requested horizon")
+
+
+def _horizons_with_data(profile: ForecastabilityProfile) -> list[int]:
+    return [h for h, v in zip(profile.horizons, profile.values_nats) if not math.isnan(v)]
 
 
 @main.command("profile")
@@ -452,7 +468,7 @@ def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     profile = estimate_profile(series, spec, config)
-    _warn_gaps(profile)
+    _warn_gaps(horizons, _horizons_with_data(profile))
     manifest = RunManifest.build(
         command="profile",
         config={
@@ -490,14 +506,7 @@ def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     results = permutation_test(series, spec, config, replicates=replicates, seed=seed)
-    reported = {r.horizon for r in results}
-    for h in horizons:
-        if h not in reported:
-            click.echo(
-                f"warning: horizon {h}: insufficient data, gap reported", err=True
-            )
-    if not results:
-        raise InsufficientData("insufficient data at every requested horizon")
+    _warn_gaps(horizons, [r.horizon for r in results])
     manifest = RunManifest.build(
         command="significance",
         config={
@@ -555,6 +564,8 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     fhat = estimate_profile(series, spec, config)
+    live = _horizons_with_data(fhat)
+    _warn_gaps(horizons, live)
     manifest = RunManifest.build(
         command="decompose",
         config={
@@ -573,14 +584,7 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     if alphabet is not None:
         columns += ["fano_min_error", "fano_vacuous"]
     rows = []
-    skipped = 0
-    for h in horizons:
-        if math.isnan(fhat.value_at(h)):
-            click.echo(
-                f"warning: horizon {h}: insufficient data, gap reported", err=True
-            )
-            skipped += 1
-            continue
+    for h in live:
         dec = decompose_loss(probes[h], series, fhat, config)
         row = {
             "horizon": h,
@@ -603,8 +607,6 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
             row["fano_min_error"] = fano.fano_min_error
             row["fano_vacuous"] = fano.fano_vacuous
         rows.append(row)
-    if skipped == len(horizons):
-        raise InsufficientData("insufficient data at every probe horizon")
     emit_table(columns, rows, manifest, out)
 
 

@@ -33,6 +33,16 @@ def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
     return arr
 
 
+def _ascending_horizons(horizons) -> tuple[int, ...]:
+    """The horizons as ints; ValueError unless strictly ascending and positive."""
+    horizons = tuple(int(h) for h in horizons)
+    if not horizons or horizons[0] < 1 or any(
+        b <= a for a, b in zip(horizons, horizons[1:])
+    ):
+        raise ValueError("horizons must be strictly ascending positive integers")
+    return horizons
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """An ordered sequence of real observations in original units.
@@ -67,14 +77,9 @@ class InformationSetSpec:
     horizons: tuple[int, ...]
 
     def __post_init__(self):
-        horizons = tuple(int(h) for h in self.horizons)
         if self.lag_order < 1:
             raise ValueError("lag_order must be >= 1")
-        if not horizons:
-            raise ValueError("horizons must be nonempty")
-        if horizons[0] < 1 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-            raise ValueError("horizons must be strictly ascending positive integers")
-        object.__setattr__(self, "horizons", horizons)
+        object.__setattr__(self, "horizons", _ascending_horizons(self.horizons))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +139,12 @@ class ForecastabilityProfile:
     estimator_meta: EstimatorMeta | None = None
 
     def __post_init__(self):
-        horizons = tuple(int(h) for h in self.horizons)
+        horizons = _ascending_horizons(self.horizons)
         values = tuple(float(v) for v in self.values_nats)
         if self.source not in ("analytic", "estimated"):
             raise ValueError("source must be 'analytic' or 'estimated'")
         if len(horizons) != len(values):
             raise ValueError("horizons and values_nats must align")
-        if not horizons or horizons[0] < 1 or any(
-            b <= a for a, b in zip(horizons, horizons[1:])
-        ):
-            raise ValueError("horizons must be strictly ascending positive integers")
         if self.source == "analytic":
             if any(not math.isfinite(v) or v < 0 for v in values):
                 raise ValueError("analytic profiles must be finite and nonnegative")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ForecastabilityProfile, TimeSeries
 from .errors import ConfigError, DomainError, MissingHorizon
-from .estimators import EstimatorConfig, kl_entropy
+from .estimators import EstimatorConfig, _jitter, kl_entropy
 
 __all__ = [
     "ProbeEvaluation",
@@ -127,12 +127,7 @@ def decompose_loss(
     idx = probe.eval_indices
     if idx.min() < 0 or idx.max() >= len(series):
         raise ConfigError("probe eval_indices fall outside the series")
-    outcomes = np.asarray(series.values[idx], dtype=float)
-    sd = float(outcomes.std())
-    if config.jitter_scale > 0.0:
-        rng = np.random.default_rng(config.seed)
-        amp = config.jitter_scale * (sd if sd > 0.0 else 1.0)
-        outcomes = outcomes + rng.uniform(-amp, amp, size=outcomes.size)
+    outcomes = _jitter(np.asarray(series.values[idx], dtype=float), config)
     marginal_entropy = kl_entropy(outcomes, k=config.k)
     expected_loss = float(-np.mean(probe.log_densities))
     exploitability = marginal_entropy - expected_loss

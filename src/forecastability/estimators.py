@@ -19,9 +19,9 @@ the extra lags w given the leading lags z, estimated in the same style
 so all terms share one neighbourhood per point and the dimension-dependent
 biases of the separate windows cancel instead of adding up.
 
-Neighbour search runs on a k-d tree by default; a brute-force path is kept
-because it must (and does) reproduce the tree results bit-for-bit, which
-pins down the strict-inequality counting convention.
+Neighbour search runs on a k-d tree; the tests check its distances and
+counts bit for bit against a brute-force oracle, which pins down the
+strict-inequality counting convention.
 
 Sample points must be pairwise distinct.  Series-level entry points handle
 this by adding seeded uniform jitter that is many orders of magnitude below
@@ -42,6 +42,7 @@ from .core import (
     ForecastabilityProfile,
     InformationSetSpec,
     TimeSeries,
+    _ascending_horizons,
     lag_embed,
 )
 from .errors import ConfigError, DegenerateSample, DomainError
@@ -150,19 +151,11 @@ def _as_points(sample) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-def _kth_distances(points: np.ndarray, k: int, method: str) -> np.ndarray:
+def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
     """Max-norm distance from each point to its k-th nearest neighbour
     (self excluded); a zero distance (duplicate points) is rejected."""
-    if method == "tree":
-        dists, _ = cKDTree(points).query(points, k=k + 1, p=np.inf, workers=-1)
-        eps = dists[:, k]
-    else:
-        eps = np.empty(points.shape[0])
-        for start, dist_block in _chebyshev_blocks(points, points):
-            # self-distance 0 is included, so the k-th neighbour is entry k
-            eps[start: start + dist_block.shape[0]] = np.partition(
-                dist_block, k, axis=1
-            )[:, k]
+    dists, _ = cKDTree(points).query(points, k=k + 1, p=np.inf, workers=-1)
+    eps = dists[:, k]
     if np.any(eps == 0.0):
         raise DegenerateSample(
             "duplicate points: k-th neighbour distance is zero (jitter the sample)"
@@ -170,38 +163,23 @@ def _kth_distances(points: np.ndarray, k: int, method: str) -> np.ndarray:
     return eps
 
 
-def _counts_within(points: np.ndarray, radii: np.ndarray, method: str) -> np.ndarray:
+def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of points strictly inside the max-norm ball of each point
     (the centre point itself included in the count)."""
-    if method == "tree":
-        return cKDTree(points).query_ball_point(
-            points, np.nextafter(radii, 0.0), p=np.inf,
-            workers=-1, return_length=True,
-        )
-    counts = np.empty(points.shape[0], dtype=np.int64)
-    for start, dist_block in _chebyshev_blocks(points, points):
-        stop = start + dist_block.shape[0]
-        counts[start:stop] = np.sum(dist_block < radii[start:stop, None], axis=1)
-    return counts
+    return cKDTree(points).query_ball_point(
+        points, np.nextafter(radii, 0.0), p=np.inf,
+        workers=-1, return_length=True,
+    )
 
 
-def _chebyshev_blocks(queries: np.ndarray, points: np.ndarray, block: int = 256):
-    for start in range(0, queries.shape[0], block):
-        q = queries[start: start + block]
-        diffs = np.abs(q[:, None, :] - points[None, :, :])
-        yield start, diffs.max(axis=2)
-
-
-def _validate_knn_args(n: int, k: int, method: str):
-    if method not in ("tree", "brute"):
-        raise ConfigError(f"unknown neighbor_method {method!r}")
+def _validate_knn_args(n: int, k: int):
     if k < 1:
         raise ConfigError("neighbour count k must be >= 1")
     if k >= n:
         raise ConfigError(f"k={k} requires more than k samples, got {n}")
 
 
-def kl_entropy(sample, k: int = 5, neighbor_method: str = "tree") -> float:
+def kl_entropy(sample, k: int = 5) -> float:
     """Kozachenko-Leonenko differential entropy estimate in nats.
 
     H_hat = psi(N) - psi(k) + d*log(2) + (d/N) * sum_i log(eps_i), with
@@ -210,38 +188,32 @@ def kl_entropy(sample, k: int = 5, neighbor_method: str = "tree") -> float:
     """
     pts = _as_points(sample)
     n, d = pts.shape
-    _validate_knn_args(n, k, neighbor_method)
-    eps = _kth_distances(pts, k, neighbor_method)
+    _validate_knn_args(n, k)
+    eps = _kth_distances(pts, k)
     return float(digamma(n) - digamma(k) + d * _LN2 + d * np.mean(np.log(eps)))
 
 
-def ksg_mutual_information(
-    x, y, k: int = 5, neighbor_method: str = "tree"
-) -> float:
+def ksg_mutual_information(x, y, k: int = 5) -> float:
     """KSG (variant 1) mutual-information estimate between x and y, in nats.
 
-    x and y are equal-length samples of shape (N,) or (N, d).  The tree and
-    brute-force search paths give identical results to the last bit.
+    x and y are equal-length samples of shape (N,) or (N, d).
     """
     xs = _as_points(x)
     ys = _as_points(y)
     if xs.shape[0] != ys.shape[0]:
         raise ConfigError("x and y must have the same number of samples")
     n = xs.shape[0]
-    _validate_knn_args(n, k, neighbor_method)
-    joint = np.hstack([xs, ys])
-    eps = _kth_distances(joint, k, neighbor_method)
+    _validate_knn_args(n, k)
+    eps = _kth_distances(np.hstack([xs, ys]), k)
     # counts include the centre point, i.e. equal n_x + 1 in the KSG formula
-    nx = _counts_within(xs, eps, neighbor_method)
-    ny = _counts_within(ys, eps, neighbor_method)
+    nx = _counts_within(xs, eps)
+    ny = _counts_within(ys, eps)
     return float(
         digamma(k) + digamma(n) - np.mean(digamma(nx) + digamma(ny))
     )
 
 
-def _ksg_conditional_mutual_information(
-    z, w, y, k: int, neighbor_method: str = "tree"
-) -> float:
+def _ksg_conditional_mutual_information(z, w, y, k: int) -> float:
     """KSG-style conditional mutual information I(w; y | z) in nats.
 
     ``eps_i`` is the k-th neighbour distance in the joint (z, w, y) space;
@@ -251,31 +223,49 @@ def _ksg_conditional_mutual_information(
     """
     zs, ws, ys = _as_points(z), _as_points(w), _as_points(y)
     n = zs.shape[0]
-    _validate_knn_args(n, k, neighbor_method)
-    eps = _kth_distances(np.hstack([zs, ws, ys]), k, neighbor_method)
+    _validate_knn_args(n, k)
+    eps = _kth_distances(np.hstack([zs, ws, ys]), k)
     # counts include the centre point, i.e. equal n + 1 in the estimator
-    n_zw = _counts_within(np.hstack([zs, ws]), eps, neighbor_method)
-    n_zy = _counts_within(np.hstack([zs, ys]), eps, neighbor_method)
-    n_z = _counts_within(zs, eps, neighbor_method)
+    n_zw = _counts_within(np.hstack([zs, ws]), eps)
+    n_zy = _counts_within(np.hstack([zs, ys]), eps)
+    n_z = _counts_within(zs, eps)
     return float(
         digamma(k) - np.mean(digamma(n_zw) + digamma(n_zy) - digamma(n_z))
     )
 
 
 def _prepare_values(values: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    """Standardize (optionally) and add seeded tie-breaking jitter."""
+    """Standardize (optionally), then jitter."""
     y = np.asarray(values, dtype=float)
-    sd = float(y.std())
     if config.standardize:
+        sd = float(y.std())
         if sd == 0.0:
             raise DegenerateSample("constant series cannot be standardized")
         y = (y - y.mean()) / sd
-        sd = float(y.std())
+    return _jitter(y, config)
+
+
+def _jitter(y: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+    """Add seeded uniform tie-breaking noise of amplitude jitter_scale times
+    the standard deviation of y (times 1 when y is constant)."""
     if config.jitter_scale > 0.0:
+        sd = float(y.std())
         rng = np.random.default_rng(config.seed)
         amplitude = config.jitter_scale * (sd if sd > 0.0 else 1.0)
         y = y + rng.uniform(-amplitude, amplitude, size=y.size)
     return y
+
+
+def _embedded_horizons(series: TimeSeries, p: int, horizons, config: EstimatorConfig):
+    """Prepare the series once, then yield ``(n_eff, pairs)`` per horizon.
+
+    ``n_eff = n - h - p + 1`` is the effective sample size; ``pairs`` is the
+    lag embedding at (p, h), or None at a gap, where ``n_eff <= k + 1``.
+    """
+    prepared = TimeSeries(_prepare_values(series.values, config))
+    for h in horizons:
+        n_eff = len(series) - h - p + 1
+        yield n_eff, (lag_embed(prepared, p, h) if n_eff > config.k + 1 else None)
 
 
 def estimate_profile(
@@ -289,22 +279,15 @@ def estimate_profile(
     ``k + 1`` get a NaN gap marker instead of failing the whole profile.
     Deterministic given the config seed.
     """
-    prepared = TimeSeries(
-        _prepare_values(series.values, config),
-        name=series.name,
-        period_hint=series.period_hint,
-    )
     p = spec.lag_order
     values: list[float] = []
     n_effs: list[int] = []
-    for h in spec.horizons:
-        n_eff = len(series) - h - p + 1
+    for n_eff, pairs in _embedded_horizons(series, p, spec.horizons, config):
         n_effs.append(max(n_eff, 0))
-        if n_eff <= config.k + 1:
-            values.append(math.nan)
-            continue
-        pairs = lag_embed(prepared, p, h)
-        values.append(ksg_mutual_information(pairs.past, pairs.future, config.k))
+        values.append(
+            math.nan if pairs is None
+            else ksg_mutual_information(pairs.past, pairs.future, config.k)
+        )
     meta = EstimatorMeta(
         k=config.k,
         p=p,
@@ -340,31 +323,14 @@ def finite_window_budget(
     """
     if p_small < 1 or p_small >= p_large:
         raise ConfigError("need 1 <= p_small < p_large")
-    horizons = tuple(int(h) for h in horizons)
-    if not horizons or horizons[0] < 1 or any(
-        b <= a for a, b in zip(horizons, horizons[1:])
-    ):
-        raise ValueError("horizons must be strictly ascending positive integers")
-    prepared = TimeSeries(
-        _prepare_values(series.values, config),
-        name=series.name,
-        period_hint=series.period_hint,
-    )
-    deltas: list[float] = []
-    for h in horizons:
-        n_eff = len(series) - h - p_large + 1
-        if n_eff <= config.k + 1:
-            deltas.append(math.nan)
-            continue
-        pairs = lag_embed(prepared, p_large, h)
-        deltas.append(
-            _ksg_conditional_mutual_information(
-                pairs.past[:, :p_small],
-                pairs.past[:, p_small:],
-                pairs.future,
-                config.k,
-            )
+    horizons = _ascending_horizons(horizons)
+    deltas = [
+        math.nan if pairs is None
+        else _ksg_conditional_mutual_information(
+            pairs.past[:, :p_small], pairs.past[:, p_small:], pairs.future, config.k
         )
+        for _, pairs in _embedded_horizons(series, p_large, horizons, config)
+    ]
     return FiniteWindowBudget(
         horizons=horizons,
         p_small=p_small,

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import forecastability
 from forecastability import (
     EstimatorConfig,
     GaussianProcessSpec,
@@ -33,6 +38,23 @@ def read_table(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def assert_contract_exit(result, code):
+    """Exit with the given code and one ``error:`` line, not a traceback."""
+    assert result.exit_code == code, result.output + repr(result.exception)
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, result.stderr
+    return errors[0]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(forecastability.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, forecastability.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestParsing:
@@ -210,6 +232,12 @@ class TestProfileCommand:
         result = runner.invoke(main, ["profile", str(data), "--horizons", "8,9"])
         assert result.exit_code == 3
 
+    def test_constant_series_exit_2(self, runner, tmp_path):
+        data = tmp_path / "flat.csv"
+        data.write_text("value\n" + "1.0\n" * 50)
+        result = runner.invoke(main, ["profile", str(data), "--horizons", "1"])
+        assert "standardized" in assert_contract_exit(result, 2)
+
     def test_parse_error_exit_2(self, runner, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("a,b,c\n1,2,3\n")
@@ -236,6 +264,15 @@ class TestSignificanceCommand:
         result = runner.invoke(main, ["significance", str(data), "--horizons", "1",
                                       "--replicates", "5"])
         assert result.exit_code == 2
+
+    def test_all_gaps_exit_3(self, runner, tmp_path):
+        data = tmp_path / "tiny.csv"
+        data.write_text("\n".join(str(float(v)) for v in range(10)) + "\n")
+        result = runner.invoke(main, ["significance", str(data), "--horizons", "8,9",
+                                      "--replicates", "19"])
+        message = assert_contract_exit(result, 3)
+        assert message == "error: insufficient data at every requested horizon"
+        assert "warning: horizon 8" in result.stderr
 
     def test_white_noise_and_strong_dependence(self, runner, tmp_path):
         wn = tmp_path / "wn.csv"
@@ -319,6 +356,28 @@ class TestDecomposeCommand:
         probe.write_text("t_index,horizon\n1,1\n")
         result = runner.invoke(main, ["decompose", str(data), str(probe)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("column", ["t_index", "horizon"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e30"])
+    def test_non_finite_or_huge_index_exit_2(self, runner, tmp_path, column, value):
+        data = tmp_path / "s.csv"
+        data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+        t, h = (value, "1") if column == "t_index" else ("20", value)
+        probe = tmp_path / "probe.csv"
+        probe.write_text(f"t_index,horizon,log_density\n10,1,-1.0\n{t},{h},-1.0\n")
+        result = runner.invoke(main, ["decompose", str(data), str(probe)])
+        assert "int64" in assert_contract_exit(result, 2)
+
+    def test_all_gaps_exit_3(self, runner, tmp_path):
+        data = tmp_path / "tiny.csv"
+        data.write_text("\n".join(str(float(v)) for v in range(10)) + "\n")
+        probe = tmp_path / "probe.csv"
+        probe.write_text("t_index,horizon,log_density\n"
+                         "8,8,-1.0\n9,8,-1.0\n9,9,-1.0\n8,9,-1.0\n")
+        result = runner.invoke(main, ["decompose", str(data), str(probe)])
+        message = assert_contract_exit(result, 3)
+        assert message == "error: insufficient data at every requested horizon"
+        assert "warning: horizon 9" in result.stderr
 
 
 class TestManifest:

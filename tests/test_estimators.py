@@ -21,6 +21,7 @@ from forecastability import (
     GaussianProcessSpec,
 )
 from forecastability.estimators import _ksg_conditional_mutual_information
+from knn_oracle import kernel_calls_match_oracle
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 EULER_GAMMA = 0.5772156649015329
@@ -124,23 +125,26 @@ class TestKsgMutualInformation:
         assert small > 1.0
         assert large > small
 
-    def test_brute_force_matches_tree_exactly(self, rng):
+    def test_brute_force_matches_tree_exactly(self, rng, monkeypatch):
         x = rng.standard_normal(400)
         y = 0.6 * x + 0.8 * rng.standard_normal(400)
-        assert ksg_mutual_information(
-            x, y, k=5, neighbor_method="tree"
-        ) == ksg_mutual_information(x, y, k=5, neighbor_method="brute")
+        _, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: ksg_mutual_information(x, y, k=5)
+        )
+        assert called == ["eps", "count", "count"]
         xm = rng.standard_normal((300, 3))
         ym = xm[:, :1] + rng.standard_normal((300, 1))
-        assert ksg_mutual_information(
-            xm, ym, k=4, neighbor_method="tree"
-        ) == ksg_mutual_information(xm, ym, k=4, neighbor_method="brute")
-
-    def test_entropy_paths_match_exactly(self, rng):
-        sample = rng.standard_normal((400, 2))
-        assert kl_entropy(sample, k=5, neighbor_method="tree") == kl_entropy(
-            sample, k=5, neighbor_method="brute"
+        _, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: ksg_mutual_information(xm, ym, k=4)
         )
+        assert called == ["eps", "count", "count"]
+
+    def test_entropy_paths_match_exactly(self, rng, monkeypatch):
+        sample = rng.standard_normal((400, 2))
+        _, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: kl_entropy(sample, k=5)
+        )
+        assert called == ["eps"]
 
     def test_consistency_with_entropies(self, rng):
         x, y = gaussian_pair(0.6, 5000, seed=9)
@@ -156,8 +160,6 @@ class TestKsgMutualInformation:
             ksg_mutual_information(x, x, k=10)
         with pytest.raises(ConfigError):
             ksg_mutual_information(x, rng.standard_normal(9), k=2)
-        with pytest.raises(ConfigError):
-            ksg_mutual_information(x, x, k=2, neighbor_method="fft")
         dup = np.ones(10)
         with pytest.raises(DegenerateSample):
             ksg_mutual_information(dup, dup, k=2)
@@ -271,7 +273,9 @@ class TestFiniteWindowBudget:
         assert math.isnan(budget.delta_nats[1])
 
     @pytest.mark.parametrize("z_cols", [1, 2])
-    def test_conditional_counts_brute_force_matches_tree_exactly(self, z_cols):
+    def test_conditional_counts_brute_force_matches_tree_exactly(
+        self, z_cols, monkeypatch
+    ):
         g = np.random.default_rng(7)
         n = 300
         # exact ties in z, grid values in w (marginal distances land exactly
@@ -280,7 +284,8 @@ class TestFiniteWindowBudget:
         w = g.integers(0, 8, (n, 2)) * 0.5
         w[::3, 0] = np.nextafter(w[::3, 0], np.inf)
         y = g.integers(0, 16, n) * 0.25 + np.arange(n) * 2.0 ** -40
-        tree = _ksg_conditional_mutual_information(z, w, y, 4, "tree")
-        brute = _ksg_conditional_mutual_information(z, w, y, 4, "brute")
-        assert math.isfinite(tree)
-        assert tree == brute
+        value, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: _ksg_conditional_mutual_information(z, w, y, 4)
+        )
+        assert math.isfinite(value)
+        assert called == ["eps", "count", "count", "count"]
