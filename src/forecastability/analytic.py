@@ -32,40 +32,35 @@ _ACF_RELATIVE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GaussianProcessSpec:
-    """A stationary Gaussian process description.
+    """A stationary Gaussian AR process description.
 
-    kind is one of ``"ar1"`` (phi), ``"seasonal_ar"`` (phi, Phi, s) for the
-    multiplicative model ``y[t] = phi*y[t-1] + Phi*y[t-s] - phi*Phi*y[t-s-1] + e[t]``,
-    or ``"explicit_acf"`` (rho, the autocorrelations at lags 1..L).
+    kind is ``"ar1"`` (phi) or ``"seasonal_ar"`` (phi, Phi, s) for the
+    multiplicative model ``y[t] = phi*y[t-1] + Phi*y[t-s] - phi*Phi*y[t-s-1] + e[t]``.
+    Constructing one is the package's single check that the parameters
+    describe a stationary process.  Profiles of other processes go through
+    ``gaussian_profile_from_acf``.
     """
 
     kind: str
     phi: float | None = None
     Phi: float | None = None
     s: int | None = None
-    rho: tuple[float, ...] | None = None
     innovation_variance: float = 1.0
 
     def __post_init__(self):
-        if self.innovation_variance <= 0:
-            raise DomainError("innovation_variance must be positive")
+        # written as "not inside" so that NaN parameters are rejected too
+        if not 0 < self.innovation_variance < math.inf:
+            raise DomainError("innovation_variance must be positive and finite")
         if self.kind == "ar1":
-            if self.phi is None or abs(self.phi) >= 1:
+            if self.phi is None or not abs(self.phi) < 1:
                 raise DomainError("ar1 requires |phi| < 1")
         elif self.kind == "seasonal_ar":
             if self.phi is None or self.Phi is None or self.s is None:
                 raise DomainError("seasonal_ar requires phi, Phi and s")
-            if abs(self.phi) >= 1 or abs(self.Phi) >= 1:
+            if not (abs(self.phi) < 1 and abs(self.Phi) < 1):
                 raise DomainError("seasonal_ar requires |phi| < 1 and |Phi| < 1")
             if self.s < 1:
                 raise DomainError("seasonal period s must be >= 1")
-        elif self.kind == "explicit_acf":
-            if not self.rho:
-                raise DomainError("explicit_acf requires a nonempty rho sequence")
-            rho = tuple(float(r) for r in self.rho)
-            if any(abs(r) >= 1 for r in rho):
-                raise DomainError("explicit_acf requires |rho_h| < 1 at every lag")
-            object.__setattr__(self, "rho", rho)
         else:
             raise DomainError(f"unknown process kind {self.kind!r}")
 
@@ -79,13 +74,6 @@ class GaussianProcessSpec:
     ) -> "GaussianProcessSpec":
         return cls(
             kind="seasonal_ar", phi=phi, Phi=Phi, s=s,
-            innovation_variance=innovation_variance,
-        )
-
-    @classmethod
-    def explicit_acf(cls, rho, innovation_variance: float = 1.0) -> "GaussianProcessSpec":
-        return cls(
-            kind="explicit_acf", rho=tuple(rho),
             innovation_variance=innovation_variance,
         )
 
@@ -115,8 +103,7 @@ class GaussianEntropySummary:
 
 def ar1_profile(phi: float, horizons) -> ForecastabilityProfile:
     """Exact profile of a stationary AR(1): F(h) = -0.5*log(1 - phi^(2h))."""
-    if abs(phi) >= 1:
-        raise DomainError(f"AR(1) requires |phi| < 1, got {phi}")
+    GaussianProcessSpec.ar1(phi)
     horizons = _ascending_horizons(horizons)
     values = tuple(-0.5 * math.log1p(-(phi ** (2 * h))) for h in horizons)
     return ForecastabilityProfile(horizons=horizons, values_nats=values, source="analytic")
@@ -130,10 +117,7 @@ def seasonal_ar_acf(phi: float, Phi: float, s: int, max_lag: int) -> np.ndarray:
     over a + s*b = j)`` with ``gamma(h) = sum_j psi_j psi_{j+h}``; the expansion
     is extended until the autocovariances are stable to 1e-12 relative.
     """
-    if abs(phi) >= 1 or abs(Phi) >= 1:
-        raise DomainError("stationarity requires |phi| < 1 and |Phi| < 1")
-    if s < 1:
-        raise DomainError("seasonal period s must be >= 1")
+    GaussianProcessSpec.seasonal_ar(phi, Phi, s)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
 
@@ -262,8 +246,7 @@ def simulate(
     """Simulate a sample path by running the AR recursion from zero initial
     conditions, discarding ``burn_in`` transient observations.
 
-    Deterministic in (spec, n, seed, burn_in).  Explicit-ACF specs have no
-    finite recursion and are rejected.
+    Deterministic in (spec, n, seed, burn_in).
     """
     from scipy.signal import lfilter  # about 0.5 s to import; only used here
 
@@ -274,21 +257,14 @@ def simulate(
     if spec.kind == "ar1":
         poles = np.array([1.0, -spec.phi])
         name = f"ar1(phi={spec.phi:g})"
-        period = None
-    elif spec.kind == "seasonal_ar":
+    else:
         poles = np.zeros(spec.s + 2)
         poles[0] = 1.0
         poles[1] = -spec.phi
         poles[spec.s] += -spec.Phi
         poles[spec.s + 1] += spec.phi * spec.Phi
         name = f"seasonal_ar(phi={spec.phi:g}, Phi={spec.Phi:g}, s={spec.s})"
-        period = spec.s
-    else:
-        raise DomainError(
-            "simulate supports ar1 and seasonal_ar specs only; an explicit "
-            "autocorrelation sequence defines no finite recursion"
-        )
     rng = np.random.default_rng(seed)
     innovations = rng.standard_normal(n + burn_in) * math.sqrt(spec.innovation_variance)
     path = lfilter([1.0], poles, innovations)[burn_in:]
-    return TimeSeries(values=path, name=name, period_hint=period)
+    return TimeSeries(values=path, name=name)

@@ -60,7 +60,7 @@ from .errors import (
     MissingHorizon,
     SingularSystem,
 )
-from .estimators import EstimatorConfig, estimate_profile
+from .estimators import _JITTER_SCALE, EstimatorConfig, estimate_profile
 from .significance import permutation_test
 
 _LN2 = math.log(2.0)
@@ -70,19 +70,24 @@ _EXIT_NO_DATA = 3
 
 _INT64_BOUND = 2.0 ** 63
 
+# the estimator settings that are not options, recorded in every manifest
+# of an estimating command
+_FIXED_ESTIMATOR = {"jitter_scale": _JITTER_SCALE, "standardize": True}
+
+
+class ParseError(ForecastabilityError):
+    """Malformed input file or flag value."""
+
+
 _CONTRACT_ERRORS = (
+    ParseError,
     DomainError,
     ConfigError,
     CoverageError,
     SingularSystem,
     MissingHorizon,
     DegenerateSample,
-    ValueError,
 )
-
-
-class ParseError(ForecastabilityError):
-    """Malformed input file or flag value."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,6 @@ def _contract_guard(func):
             return func(*args, **kwargs)
         except InsufficientData as exc:
             _die(_EXIT_NO_DATA, str(exc))
-        except ParseError as exc:
-            _die(_EXIT_CONTRACT, str(exc))
         except _CONTRACT_ERRORS as exc:
             _die(_EXIT_CONTRACT, str(exc))
 
@@ -133,6 +136,11 @@ def _contract_guard(func):
 
 
 # ---------------------------------------------------------------- parsing
+
+
+def _at_least(flag: str, value: int, minimum: int):
+    if value < minimum:
+        raise ParseError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def parse_horizons(text: str) -> tuple[int, ...]:
@@ -215,7 +223,7 @@ def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: only a header row")
-    grouped: dict[int, list[tuple[int, float]]] = {}
+    grouped: dict[int, dict[int, float]] = {}
     for i, cells in enumerate(rows):
         if len(cells) != 3 or not _is_numeric_row(cells):
             raise ParseError(
@@ -227,14 +235,20 @@ def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
             raise ParseError(f"{path}: index outside the int64 range in row {i + 1}")
         if t_raw != int(t_raw) or h_raw != int(h_raw):
             raise ParseError(f"{path}: non-integer index in row {i + 1}")
-        grouped.setdefault(int(h_raw), []).append((int(t_raw), ld))
+        t, h = int(t_raw), int(h_raw)
+        scored = grouped.setdefault(h, {})
+        if t in scored:
+            raise ParseError(
+                f"{path}: duplicate t_index {t} at horizon {h} in row {i + 1}"
+            )
+        scored[t] = ld
     probes = {}
-    for h, pairs in sorted(grouped.items()):
+    for h, scored in sorted(grouped.items()):
         try:
             probes[h] = ProbeEvaluation(
                 horizon=h,
-                log_densities=np.array([ld for _, ld in pairs]),
-                eval_indices=np.array([t for t, _ in pairs]),
+                log_densities=np.array(list(scored.values())),
+                eval_indices=np.array(list(scored)),
             )
         except ValueError as exc:
             raise ParseError(f"{path}: horizon {h}: {exc}") from None
@@ -358,6 +372,9 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
     Values are written with full round-trip precision so that downstream
     estimation from the file matches in-memory estimation exactly.
     """
+    _at_least("--n", n, 1)
+    _at_least("--burn-in", burn_in, 0)
+    _at_least("--seed", seed, 0)
     spec = _gaussian_spec(model, phi, big_phi, s, sigma2)
     series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
     lines = ["value"]
@@ -390,9 +407,8 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
 def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
     """Exact Gaussian forecastability profile for an AR(1) or seasonal AR."""
     horizons = parse_horizons(horizons)
-    if lags < 1:
-        raise ParseError("--lags must be >= 1")
-    _gaussian_spec(model, phi, big_phi, s, 1.0)  # validates stationarity
+    _at_least("--lags", lags, 1)
+    _gaussian_spec(model, phi, big_phi, s, 1.0)
     if model == "ar1" and lags == 1:
         profile = ar1_profile(phi, horizons)
     else:
@@ -426,11 +442,12 @@ def _profile_rows(profile: ForecastabilityProfile, units: str):
     value_col = f"f_{units}"
     rows = []
     shown = []
-    for h, v in zip(profile.horizons, profile.values_nats):
+    for h, v, n_eff in zip(
+        profile.horizons, profile.values_nats, profile.estimator_meta.n_effective
+    ):
         gap = math.isnan(v)
         value = None if gap else _in_units(v, units)
         shown.append(math.nan if gap else value)
-        n_eff = profile.estimator_meta.n_effective[profile.horizons.index(h)]
         rows.append(
             {"horizon": h, value_col: value, "n_effective": n_eff, "gap": gap}
         )
@@ -444,10 +461,6 @@ def _warn_gaps(requested, with_data):
             click.echo(f"warning: horizon {h}: insufficient data, gap reported", err=True)
     if not with_data:
         raise InsufficientData("insufficient data at every requested horizon")
-
-
-def _horizons_with_data(profile: ForecastabilityProfile) -> list[int]:
-    return [h for h, v in zip(profile.horizons, profile.values_nats) if not math.isnan(v)]
 
 
 @main.command("profile")
@@ -464,17 +477,17 @@ def _horizons_with_data(profile: ForecastabilityProfile) -> list[int]:
 def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
     """Estimate the forecastability profile of a series from CSV."""
     horizons = parse_horizons(horizons)
+    _at_least("--lags", lags, 1)
     series = read_series_csv(input_csv)
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     profile = estimate_profile(series, spec, config)
-    _warn_gaps(horizons, _horizons_with_data(profile))
+    _warn_gaps(horizons, profile.horizons_with_data())
     manifest = RunManifest.build(
         command="profile",
         config={
             "input": input_csv, "lags": lags, "horizons": list(horizons), "k": k,
-            "jitter_scale": config.jitter_scale, "standardize": config.standardize,
-            "units": units, "out": out, "plot": plot,
+            **_FIXED_ESTIMATOR, "units": units, "out": out, "plot": plot,
         },
         inputs=[input_csv],
         seed=seed,
@@ -502,6 +515,7 @@ def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
     50/95/99% quantiles of the permutation null.
     """
     horizons = parse_horizons(horizons)
+    _at_least("--lags", lags, 1)
     series = read_series_csv(input_csv)
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
@@ -511,8 +525,7 @@ def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
         command="significance",
         config={
             "input": input_csv, "lags": lags, "horizons": list(horizons), "k": k,
-            "replicates": replicates, "jitter_scale": config.jitter_scale,
-            "standardize": config.standardize, "out": out,
+            "replicates": replicates, **_FIXED_ESTIMATOR, "out": out,
         },
         inputs=[input_csv],
         seed=seed,
@@ -556,6 +569,7 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     assigned to the realised outcome at series row t_index.  All values are
     reported in nats.
     """
+    _at_least("--lags", lags, 1)
     series = read_series_csv(series_csv)
     probes = read_probe_csv(probe_csv)
     if not probes:
@@ -564,14 +578,22 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     fhat = estimate_profile(series, spec, config)
-    live = _horizons_with_data(fhat)
+    live = fhat.horizons_with_data()
     _warn_gaps(horizons, live)
+    for h in live:
+        first = h + lags - 1
+        earliest = int(probes[h].eval_indices.min())
+        if earliest < first:
+            raise ParseError(
+                f"{probe_csv}: horizon {h}: t_index {earliest} is below "
+                f"horizon + lags - 1 = {first}, so its forecast origin has no "
+                "full lag window"
+            )
     manifest = RunManifest.build(
         command="decompose",
         config={
             "series": series_csv, "probe": probe_csv, "lags": lags, "k": k,
-            "alphabet": alphabet, "jitter_scale": config.jitter_scale,
-            "standardize": config.standardize, "out": out,
+            "alphabet": alphabet, **_FIXED_ESTIMATOR, "out": out,
         },
         inputs=[series_csv, probe_csv],
         seed=seed,

@@ -45,15 +45,10 @@ def _ascending_horizons(horizons) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """An ordered sequence of real observations in original units.
-
-    ``period_hint`` is optional metadata (a known seasonal period); nothing
-    in the numerics depends on it.
-    """
+    """An ordered sequence of real observations in original units."""
 
     values: np.ndarray
     name: str | None = None
-    period_hint: int | None = None
 
     def __post_init__(self):
         arr = _frozen_array(self.values)
@@ -61,8 +56,6 @@ class TimeSeries:
             raise ValueError("a time series needs at least 2 observations")
         if not np.all(np.isfinite(arr)):
             raise ValueError("time series values must be finite (no NaN/inf)")
-        if self.period_hint is not None and self.period_hint < 1:
-            raise ValueError("period_hint must be a positive integer")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -115,8 +108,6 @@ class EstimatorMeta:
     k: int
     p: int
     n_effective: tuple[int, ...]
-    jitter_scale: float
-    standardize: bool
     seed: int
 
 
@@ -167,6 +158,11 @@ class ForecastabilityProfile:
         return tuple(
             h for h, v in zip(self.horizons, self.values_nats) if math.isnan(v)
         )
+
+    def horizons_with_data(self) -> tuple[int, ...]:
+        """Horizons that carry a value, i.e. every horizon not in ``gaps()``."""
+        gaps = self.gaps()
+        return tuple(h for h in self.horizons if h not in gaps)
 
 
 def lag_embed(series: TimeSeries, p: int, h: int) -> EmbeddedPairs:

@@ -127,7 +127,7 @@ def decompose_loss(
     idx = probe.eval_indices
     if idx.min() < 0 or idx.max() >= len(series):
         raise ConfigError("probe eval_indices fall outside the series")
-    outcomes = _jitter(np.asarray(series.values[idx], dtype=float), config)
+    outcomes = _jitter(np.asarray(series.values[idx], dtype=float), config.seed)
     marginal_entropy = kl_entropy(outcomes, k=config.k)
     expected_loss = float(-np.mean(probe.log_densities))
     exploitability = marginal_entropy - expected_loss

@@ -24,9 +24,11 @@ counts bit for bit against a brute-force oracle, which pins down the
 strict-inequality counting convention.
 
 Sample points must be pairwise distinct.  Series-level entry points handle
-this by adding seeded uniform jitter that is many orders of magnitude below
-the data scale; the raw estimators reject degenerate samples instead of
-silently perturbing them.
+this the same way every time: they standardize the series to zero mean and
+unit variance, then add seeded uniform jitter of amplitude 1e-10 (relative
+to the standard deviation), many orders of magnitude below the data scale.
+The raw estimators reject degenerate samples instead of silently perturbing
+them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# tie-breaking jitter amplitude, relative to the sample standard deviation
+_JITTER_SCALE = 1e-10
+
 # Stirling-series coefficients of -psi'(x) tail in powers of x^-2
 _DIGAMMA_TAIL = (
     1.0 / 12.0,
@@ -74,22 +79,19 @@ _DIGAMMA_TAIL = (
 class EstimatorConfig:
     """Settings shared by all estimation entry points.
 
-    k is the neighbour count; jitter_scale is the tie-breaking noise
-    amplitude relative to the sample standard deviation; standardization
-    to zero mean / unit variance is on by default (mutual information is
-    invariant to it, and it conditions the neighbour search).
+    k is the neighbour count and seed seeds the tie-breaking jitter.  The
+    rest of the estimator is fixed: series are standardized to zero mean and
+    unit variance (mutual information is invariant to it, and it conditions
+    the neighbour search), then jittered by seeded uniform noise of 1e-10
+    times the standard deviation.
     """
 
     k: int = 5
-    jitter_scale: float = 1e-10
-    standardize: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("neighbour count k must be >= 1")
-        if self.jitter_scale < 0:
-            raise ConfigError("jitter_scale must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
@@ -234,26 +236,21 @@ def _ksg_conditional_mutual_information(z, w, y, k: int) -> float:
     )
 
 
-def _prepare_values(values: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    """Standardize (optionally), then jitter."""
+def _prepare_values(values: np.ndarray, seed: int) -> np.ndarray:
+    """Standardize, then jitter."""
     y = np.asarray(values, dtype=float)
-    if config.standardize:
-        sd = float(y.std())
-        if sd == 0.0:
-            raise DegenerateSample("constant series cannot be standardized")
-        y = (y - y.mean()) / sd
-    return _jitter(y, config)
+    sd = float(y.std())
+    if sd == 0.0:
+        raise DegenerateSample("constant series cannot be standardized")
+    return _jitter((y - y.mean()) / sd, seed)
 
 
-def _jitter(y: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    """Add seeded uniform tie-breaking noise of amplitude jitter_scale times
+def _jitter(y: np.ndarray, seed: int) -> np.ndarray:
+    """Add seeded uniform tie-breaking noise of amplitude _JITTER_SCALE times
     the standard deviation of y (times 1 when y is constant)."""
-    if config.jitter_scale > 0.0:
-        sd = float(y.std())
-        rng = np.random.default_rng(config.seed)
-        amplitude = config.jitter_scale * (sd if sd > 0.0 else 1.0)
-        y = y + rng.uniform(-amplitude, amplitude, size=y.size)
-    return y
+    sd = float(y.std())
+    amplitude = _JITTER_SCALE * (sd if sd > 0.0 else 1.0)
+    return y + np.random.default_rng(seed).uniform(-amplitude, amplitude, size=y.size)
 
 
 def _embedded_horizons(series: TimeSeries, p: int, horizons, config: EstimatorConfig):
@@ -262,7 +259,7 @@ def _embedded_horizons(series: TimeSeries, p: int, horizons, config: EstimatorCo
     ``n_eff = n - h - p + 1`` is the effective sample size; ``pairs`` is the
     lag embedding at (p, h), or None at a gap, where ``n_eff <= k + 1``.
     """
-    prepared = TimeSeries(_prepare_values(series.values, config))
+    prepared = TimeSeries(_prepare_values(series.values, config.seed))
     for h in horizons:
         n_eff = len(series) - h - p + 1
         yield n_eff, (lag_embed(prepared, p, h) if n_eff > config.k + 1 else None)
@@ -288,19 +285,13 @@ def estimate_profile(
             math.nan if pairs is None
             else ksg_mutual_information(pairs.past, pairs.future, config.k)
         )
-    meta = EstimatorMeta(
-        k=config.k,
-        p=p,
-        n_effective=tuple(n_effs),
-        jitter_scale=config.jitter_scale,
-        standardize=config.standardize,
-        seed=config.seed,
-    )
     return ForecastabilityProfile(
         horizons=spec.horizons,
         values_nats=tuple(values),
         source="estimated",
-        estimator_meta=meta,
+        estimator_meta=EstimatorMeta(
+            k=config.k, p=p, n_effective=tuple(n_effs), seed=config.seed
+        ),
     )
 
 

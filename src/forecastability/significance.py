@@ -9,7 +9,6 @@ finite B and never returns zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ def permutation_test(
             f"need at least {_MIN_REPLICATES} replicates to resolve p <= 0.05"
         )
     observed = estimate_profile(series, spec, config)
-    live = [h for h in spec.horizons if not math.isnan(observed.value_at(h))]
+    live = observed.horizons_with_data()
     if not live:
         return []
     null_values: dict[int, list[float]] = {h: [] for h in live}

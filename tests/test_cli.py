@@ -49,6 +49,22 @@ def assert_contract_exit(result, code):
     return errors[0]
 
 
+@pytest.mark.parametrize("command", ["analytic", "profile", "significance", "decompose"])
+def test_lags_below_one_exit_2(runner, tmp_path, command):
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+    probe = tmp_path / "probe.csv"
+    probe.write_text("t_index,horizon,log_density\n10,1,-1.0\n11,1,-1.0\n")
+    args = {
+        "analytic": ["--model", "ar1", "--phi", "0.5", "--horizons", "1"],
+        "profile": [str(data), "--horizons", "1"],
+        "significance": [str(data), "--horizons", "1", "--replicates", "19"],
+        "decompose": [str(data), str(probe)],
+    }[command]
+    result = runner.invoke(main, [command, *args, "--lags", "0"])
+    assert "--lags" in assert_contract_exit(result, 2)
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(forecastability.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -112,6 +128,18 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--model", "ar1", "--phi", "1.0",
                                       "--n", "100", "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "0"), ("--burn-in", "-1"), ("--seed", "-1"),
+        ("--phi", "nan"), ("--sigma2", "inf"),
+    ])
+    def test_out_of_range_flag_exit_2(self, runner, tmp_path, flag, value):
+        options = {"--phi": "0.5", "--n": "100", "--burn-in": "10", "--seed": "0",
+                   "--sigma2": "1.0", flag: value}
+        args = [item for pair in options.items() for item in pair]
+        result = runner.invoke(main, ["simulate", "--model", "ar1", *args,
+                                      "--out", str(tmp_path / "x.csv")])
+        assert_contract_exit(result, 2)
 
     def test_seasonal_requires_parameters(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--model", "seasonal",
@@ -367,6 +395,38 @@ class TestDecomposeCommand:
         probe.write_text(f"t_index,horizon,log_density\n10,1,-1.0\n{t},{h},-1.0\n")
         result = runner.invoke(main, ["decompose", str(data), str(probe)])
         assert "int64" in assert_contract_exit(result, 2)
+
+    @staticmethod
+    def _short_ar1(tmp_path, runner):
+        data = tmp_path / "ar300.csv"
+        run_ok(runner, ["simulate", "--model", "ar1", "--phi", "0.95", "--n", "300",
+                        "--seed", "11", "--out", str(data)])
+        return data
+
+    def test_duplicate_probe_rows_exit_2(self, runner, tmp_path):
+        data = self._short_ar1(tmp_path, runner)
+        probe = tmp_path / "probe.csv"
+        rows = [f"{t},1,-1.5" for t in range(1, 41)]
+        probe.write_text("t_index,horizon,log_density\n" + "\n".join(rows * 2) + "\n")
+        result = runner.invoke(main, ["decompose", str(data), str(probe), "--lags", "1"])
+        assert "duplicate t_index 1 at horizon 1" in assert_contract_exit(result, 2)
+
+    @pytest.mark.parametrize("lags", [1, 3])
+    @pytest.mark.parametrize("early", [False, True])
+    def test_forecast_origin_before_first_lag_window(self, runner, tmp_path, lags, early):
+        data = self._short_ar1(tmp_path, runner)
+        first = 3 + lags - 1
+        start = first - 1 if early else first
+        probe = tmp_path / "probe.csv"
+        rows = [f"{t},3,-1.5" for t in range(start, first + 40)]
+        probe.write_text("t_index,horizon,log_density\n" + "\n".join(rows) + "\n")
+        result = runner.invoke(main, ["decompose", str(data), str(probe),
+                                      "--lags", str(lags)])
+        if early:
+            message = assert_contract_exit(result, 2)
+            assert f"t_index {start}" in message and f"= {first}" in message
+        else:
+            assert result.exit_code == 0, result.output
 
     def test_all_gaps_exit_3(self, runner, tmp_path):
         data = tmp_path / "tiny.csv"

@@ -17,10 +17,9 @@ from forecastability import (
 
 class TestTimeSeries:
     def test_basic_construction(self):
-        ts = TimeSeries(np.array([1.0, 2.0, 3.0]), name="abc", period_hint=12)
+        ts = TimeSeries(np.array([1.0, 2.0, 3.0]), name="abc")
         assert len(ts) == 3
         assert ts.name == "abc"
-        assert ts.period_hint == 12
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -30,10 +29,6 @@ class TestTimeSeries:
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
             TimeSeries(np.array([1.0, bad, 2.0]))
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            TimeSeries(np.array([1.0, 2.0]), period_hint=0)
 
     def test_values_are_read_only(self):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
@@ -149,16 +144,14 @@ class TestForecastabilityProfile:
             horizons=(1, 2, 3),
             values_nats=(-0.004, 0.2, math.nan),
             source="estimated",
-            estimator_meta=EstimatorMeta(
-                k=5, p=1, n_effective=(10, 9, 0), jitter_scale=1e-10,
-                standardize=True, seed=0,
-            ),
+            estimator_meta=EstimatorMeta(k=5, p=1, n_effective=(10, 9, 0), seed=0),
         )
         assert prof.value_at(1) == -0.004
         assert prof.clamped_nonneg()[0] == 0.0
         assert prof.clamped_nonneg()[1] == 0.2
         assert math.isnan(prof.clamped_nonneg()[2])
         assert prof.gaps() == (3,)
+        assert prof.horizons_with_data() == (1, 2)
 
     def test_missing_horizon(self):
         prof = ForecastabilityProfile(
