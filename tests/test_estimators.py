@@ -38,7 +38,7 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig()
         assert cfg.k == 5 and cfg.seed == 0
 
-    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(seed=-1)])
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(k=-2), dict(seed=-1)])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             EstimatorConfig(**kwargs)
