@@ -3,8 +3,10 @@
 For a stationary Gaussian process the forecastability at horizon h given a
 p-lag window is ``-0.5*log(1 - R_h^2)``, where ``R_h^2`` is the population
 R-squared from regressing the future value on the window.  The AR(1) case
-collapses to the closed form ``-0.5*log(1 - phi^(2h))``; anything else is
-reached through the autocorrelation function.
+collapses to the closed form ``-0.5*log(1 - phi^(2h))``, and because AR(1) is
+Markov that holds for every window size p.  The seasonal AR is reached through
+its autocorrelations, which have an exact closed form; any other process
+through ``gaussian_profile_from_acf`` on its autocorrelations.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ __all__ = [
     "gaussian_entropy_summary",
     "simulate",
 ]
-
-_ACF_RELATIVE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GaussianProcessSpec:
@@ -113,41 +112,32 @@ def seasonal_ar_acf(phi: float, Phi: float, s: int, max_lag: int) -> np.ndarray:
     """Stationary autocorrelations rho_1..rho_max_lag of the multiplicative
     seasonal model ``(1 - phi*B)(1 - Phi*B^s) y = e``.
 
-    Computed from the moving-average representation ``psi_j = sum(phi^a * Phi^b
-    over a + s*b = j)`` with ``gamma(h) = sum_j psi_j psi_{j+h}``; the expansion
-    is extended until the autocovariances are stable to 1e-12 relative.
+    The spectral density factorises, so the autocovariance is the convolution
+    of the two AR(1) factors' autocovariances,
+    ``gamma(h) (1 - phi^2)(1 - Phi^2) = sum_m Phi^|m| phi^|h - m*s|``
+    (Box, Jenkins & Reinsel, *Time Series Analysis*, ch. 9).  For
+    ``h = q*s + r`` with ``0 <= r < s`` both tails are geometric series, which
+    leaves the exact closed form
+
+        gamma(h) ~ [phi^h + Phi^(q+1) phi^((q+1)s - h)] / (1 - Phi phi^s)
+                   + sum_{m=1..q} Phi^m phi^(h - m*s)
+
+    whose last sum obeys ``S(h) = Phi (phi^(h-s) + S(h-s))``.  Time and memory
+    are O(max_lag) whatever ``s``, ``phi`` and ``Phi``.
     """
     GaussianProcessSpec.seasonal_ar(phi, Phi, s)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-
-    decay = max(abs(phi), abs(Phi) ** (1.0 / s))
-    if decay == 0.0:
-        return np.zeros(max_lag)
-    # start beyond the point where psi weights drop under 1e-16, then verify
-    n_terms = max(4 * s, max_lag + 1, int(math.ceil(-37.0 / math.log(decay))) + s)
-    gammas = _gammas_from_psi(phi, Phi, s, n_terms, max_lag)
-    while True:
-        n_terms *= 2
-        refined = _gammas_from_psi(phi, Phi, s, n_terms, max_lag)
-        if np.max(np.abs(refined - gammas)) <= _ACF_RELATIVE_TOL * refined[0]:
-            gammas = refined
-            break
-        gammas = refined
-        if n_terms > 50_000_000:  # pragma: no cover - unreachable for |.|<1
-            raise DomainError("autocovariance expansion failed to converge")
+    wrap = 1.0 - Phi * phi ** s
+    gammas = np.empty(max_lag + 1)
+    inner = np.zeros(max_lag + 1)  # sum_{m=1..q} Phi^m phi^(h - m*s)
+    for h in range(max_lag + 1):
+        q = h // s
+        if q:
+            inner[h] = Phi * (phi ** (h - s) + inner[h - s])
+        tails = phi ** h + Phi ** (q + 1) * phi ** ((q + 1) * s - h)
+        gammas[h] = tails / wrap + inner[h]
     return gammas[1:] / gammas[0]
-
-
-def _gammas_from_psi(phi, Phi, s, n_terms, max_lag) -> np.ndarray:
-    j = np.arange(n_terms + 1)
-    psi = np.zeros(n_terms + 1)
-    phi_pow = phi ** j.astype(float)
-    for b in range(n_terms // s + 1):
-        psi[s * b:] += (Phi ** b) * phi_pow[: n_terms + 1 - s * b]
-    return np.array(
-        [psi[: n_terms + 1 - h] @ psi[h:] for h in range(max_lag + 1)]
-    )
 
 
 def _nested_cholesky(matrix: np.ndarray) -> np.ndarray:

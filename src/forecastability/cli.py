@@ -50,16 +50,7 @@ from .core import (
     _ascending_horizons,
 )
 from .diagnostics import ProbeEvaluation, decompose_loss, fano_bound, pinsker_bound
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DegenerateSample,
-    DomainError,
-    ForecastabilityError,
-    InsufficientData,
-    MissingHorizon,
-    SingularSystem,
-)
+from .errors import ForecastabilityError, InsufficientData
 from .estimators import _JITTER_SCALE, EstimatorConfig, estimate_profile
 from .significance import permutation_test
 
@@ -77,17 +68,6 @@ _FIXED_ESTIMATOR = {"jitter_scale": _JITTER_SCALE, "standardize": True}
 
 class ParseError(ForecastabilityError):
     """Malformed input file or flag value."""
-
-
-_CONTRACT_ERRORS = (
-    ParseError,
-    DomainError,
-    ConfigError,
-    CoverageError,
-    SingularSystem,
-    MissingHorizon,
-    DegenerateSample,
-)
 
 
 @dataclass(frozen=True)
@@ -129,7 +109,7 @@ def _contract_guard(func):
             return func(*args, **kwargs)
         except InsufficientData as exc:
             _die(_EXIT_NO_DATA, str(exc))
-        except _CONTRACT_ERRORS as exc:
+        except ForecastabilityError as exc:
             _die(_EXIT_CONTRACT, str(exc))
 
     return wrapper
@@ -170,6 +150,15 @@ def parse_horizons(text: str) -> tuple[int, ...]:
         raise ParseError(f"{exc}, got {text!r}") from None
 
 
+def _is_numeric_row(cells: list[str]) -> bool:
+    try:
+        for cell in cells:
+            float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _split_rows(path: str) -> list[list[str]]:
     try:
         text = Path(path).read_text()
@@ -182,25 +171,16 @@ def _split_rows(path: str) -> list[list[str]]:
     ]
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    if not _is_numeric_row(rows[0]):
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: only a header row")
     return rows
-
-
-def _is_numeric_row(cells: list[str]) -> bool:
-    try:
-        for cell in cells:
-            float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def read_series_csv(path: str) -> TimeSeries:
     """Load a series from CSV: one value column, or (index, value) pairs."""
     rows = _split_rows(path)
-    if not _is_numeric_row(rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: only a header row")
     width = len(rows[0])
     if width not in (1, 2):
         raise ParseError(f"{path}: expected 1 or 2 columns, found {width}")
@@ -219,10 +199,6 @@ def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
     """Load probe evaluations keyed by horizon from a (t_index, horizon,
     log_density) CSV.  Log densities are in nats, original series units."""
     rows = _split_rows(path)
-    if not _is_numeric_row(rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: only a header row")
     grouped: dict[int, dict[int, float]] = {}
     for i, cells in enumerate(rows):
         if len(cells) != 3 or not _is_numeric_row(cells):
@@ -278,9 +254,19 @@ def _json_value(value):
     return value
 
 
-def _write_manifest(target: Path, manifest: RunManifest):
-    sidecar = target.with_name(target.name + ".manifest.json")
-    sidecar.write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+def _write_output(path: str, text: str, manifest: RunManifest | None = None):
+    """Write ``text`` to ``path`` and, given a manifest, its sidecar
+    ``<path>.manifest.json``."""
+    target = Path(path)
+    files = [(target, text)]
+    if manifest is not None:
+        sidecar = target.with_name(target.name + ".manifest.json")
+        files.append((sidecar, json.dumps(asdict(manifest), indent=2) + "\n"))
+    for file, content in files:
+        try:
+            file.write_text(content)
+        except OSError as exc:
+            raise ParseError(f"cannot write {file}: {exc}") from None
 
 
 def emit_table(
@@ -295,7 +281,7 @@ def emit_table(
             "manifest": asdict(manifest),
             "rows": [{c: _json_value(r.get(c)) for c in columns} for r in rows],
         }
-        Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_output(out, json.dumps(doc, indent=2) + "\n")
         return
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(r.get(c)) for c in columns) for r in rows)
@@ -303,8 +289,7 @@ def emit_table(
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
-        _write_manifest(Path(out), manifest)
+        _write_output(out, text, manifest)
 
 
 def _emit_plot(
@@ -321,8 +306,7 @@ def _emit_plot(
         y_label=f"forecastability ({units})",
         title=title,
     )
-    Path(plot).write_text(svg)
-    _write_manifest(Path(plot), manifest)
+    _write_output(plot, svg, manifest)
 
 
 def _in_units(value: float, units: str) -> float:
@@ -379,7 +363,6 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
     series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
     lines = ["value"]
     lines.extend(repr(float(v)) for v in series.values)
-    Path(out).write_text("\n".join(lines) + "\n")
     manifest = RunManifest.build(
         command="simulate",
         config={
@@ -389,7 +372,7 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
         inputs=[],
         seed=seed,
     )
-    _write_manifest(Path(out), manifest)
+    _write_output(out, "\n".join(lines) + "\n", manifest)
 
 
 @main.command("analytic")
@@ -409,14 +392,10 @@ def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
     horizons = parse_horizons(horizons)
     _at_least("--lags", lags, 1)
     _gaussian_spec(model, phi, big_phi, s, 1.0)
-    if model == "ar1" and lags == 1:
+    if model == "ar1":  # Markov: F(h; p) = F(h; 1) for every window p
         profile = ar1_profile(phi, horizons)
     else:
-        max_lag = horizons[-1] + lags - 1
-        if model == "ar1":
-            rho = np.array([phi ** lag for lag in range(1, max_lag + 1)])
-        else:
-            rho = seasonal_ar_acf(phi, big_phi, s, max_lag)
+        rho = seasonal_ar_acf(phi, big_phi, s, horizons[-1] + lags - 1)
         profile = gaussian_profile_from_acf(rho, lags, horizons)
     manifest = RunManifest.build(
         command="analytic",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from forecastability import (
     DomainError,
@@ -16,6 +17,30 @@ from forecastability import (
 )
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)  # 1.4189385332046727
+
+# phi and Phi of both signs, s from 1 to 365, either factor switched off, and
+# both factors near the unit circle
+ACF_CASES = [
+    (0.5, 0.8, 12), (-0.6, 0.7, 4), (0.3, -0.9, 7), (-0.7, -0.5, 1),
+    (0.4, 0.6, 365), (0.0, 0.8, 12), (0.5, 0.0, 12), (0.99, 0.99, 12),
+]
+
+
+def psi_weights_acf(phi, Phi, s, max_lag, n_terms=100_000):
+    """Oracle: autocorrelations from a fixed-length MA(inf) expansion,
+    ``gamma(h) = sum_j psi_j psi_{j+h}``.  The psi weights are the impulse
+    response of ``(1 - phi*B)(1 - Phi*B^s)``; 100 000 terms leave a tail far
+    below 1e-16 for every case in ACF_CASES."""
+    poles = np.zeros(s + 2)
+    poles[0] = 1.0
+    poles[1] -= phi
+    poles[s] -= Phi
+    poles[s + 1] += phi * Phi
+    impulse = np.zeros(n_terms)
+    impulse[0] = 1.0
+    psi = lfilter([1.0], poles, impulse)
+    gammas = np.array([psi[: n_terms - h] @ psi[h:] for h in range(max_lag + 1)])
+    return gammas[1:] / gammas[0]
 
 
 class TestAr1Profile:
@@ -75,6 +100,22 @@ class TestSeasonalAcf:
     def test_stationarity_contract(self, phi, Phi):
         with pytest.raises(DomainError):
             seasonal_ar_acf(phi, Phi, 12, 10)
+
+    @pytest.mark.parametrize("phi,Phi,s", ACF_CASES)
+    def test_matches_psi_weights_oracle(self, phi, Phi, s):
+        max_lag = max(48, 2 * s + 2)
+        rho = seasonal_ar_acf(phi, Phi, s, max_lag)
+        oracle = psi_weights_acf(phi, Phi, s, max_lag)
+        assert np.max(np.abs(rho - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("Phi", [0.999, 0.9999])
+    def test_satisfies_ar_recursion_near_unit_root(self, Phi):
+        phi, s = 0.5, 12
+        rho = np.concatenate([[1.0], seasonal_ar_acf(phi, Phi, s, 48)])
+        h = np.arange(s + 2, 49)
+        implied = (phi * rho[h - 1] + Phi * rho[h - s]
+                   - phi * Phi * rho[h - s - 1])
+        assert np.max(np.abs(rho[h] - implied)) <= 1e-12
 
 
 class TestProfileFromAcf:

@@ -15,6 +15,7 @@ from forecastability import (
     EstimatorConfig,
     GaussianProcessSpec,
     InformationSetSpec,
+    ar1_profile,
     estimate_profile,
     simulate,
 )
@@ -63,6 +64,28 @@ def test_lags_below_one_exit_2(runner, tmp_path, command):
     }[command]
     result = runner.invoke(main, [command, *args, "--lags", "0"])
     assert "--lags" in assert_contract_exit(result, 2)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("simulate", "--out"), ("analytic", "--out"), ("analytic", "--plot"),
+    ("profile", "--plot"), ("significance", "--out"), ("decompose", "--out"),
+])
+def test_unwritable_output_exit_2(runner, tmp_path, command, flag):
+    series = simulate(GaussianProcessSpec.ar1(0.5), 200, seed=1)
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(repr(float(v)) for v in series.values) + "\n")
+    probe = tmp_path / "probe.csv"
+    probe.write_text("".join(f"{t},1,-1.0\n" for t in range(10, 30)))
+    args = {
+        "simulate": ["--model", "ar1", "--phi", "0.5", "--n", "10"],
+        "analytic": ["--model", "ar1", "--phi", "0.5", "--horizons", "1"],
+        "profile": [str(data), "--horizons", "1"],
+        "significance": [str(data), "--horizons", "1", "--replicates", "19"],
+        "decompose": [str(data), str(probe)],
+    }[command]
+    target = tmp_path / "missing" / "x.out"
+    result = runner.invoke(main, [command, *args, flag, str(target)])
+    assert f"cannot write {target}: " in assert_contract_exit(result, 2)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -156,6 +179,23 @@ class TestAnalyticCommand:
         rows = read_table(out)
         assert rows[0]["horizon"] == "1"
         assert float(rows[0]["f_nats"]) == pytest.approx(0.047155339735620645, abs=1e-9)
+
+    def test_ar1_same_profile_at_every_lag_window(self, runner):
+        base = ["analytic", "--model", "ar1", "--phi", "0.99", "--horizons", "1..48"]
+        one = run_ok(runner, base + ["--lags", "1"]).stdout.splitlines()
+        wide = run_ok(runner, base + ["--lags", "13"]).stdout.splitlines()
+        assert [line.split(",")[1] for line in wide] == [
+            line.split(",")[1] for line in one
+        ]
+
+    def test_seasonal_period_beyond_int64(self, runner):
+        result = run_ok(runner, ["analytic", "--model", "seasonal", "--phi", "0.5",
+                                 "--Phi", "0.8", "--s", "99999999999999999999",
+                                 "--horizons", "1..3"])
+        values = [line.split(",")[1] for line in result.stdout.splitlines()[1:]]
+        expected = ar1_profile(0.5, (1, 2, 3)).values_nats
+        assert values == [format(v, ".9g") for v in expected]
+        assert values[0] == "0.143841036"
 
     def test_ar1_zero_phi_all_zero(self, runner):
         result = run_ok(runner, ["analytic", "--model", "ar1", "--phi", "0",

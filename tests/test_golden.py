@@ -1,7 +1,7 @@
 """Output stability across commits: every CLI command on one small seeded input.
 
-Each table, SVG and manifest (timestamp removed) is compared by sha256 with
-digests recorded from a known-good build.  Commands run from inside a
+Each table, SVG, manifest and captured stdout (manifest timestamps removed)
+is compared by sha256 with digests recorded from a known-good build.  Commands run from inside a
 temporary directory on relative file names, so the manifests hold no
 machine-specific paths.  A digest may change only together with a declared
 output change.
@@ -23,10 +23,16 @@ COMMANDS = [
     ["analytic", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
      "--s", "12", "--lags", str(LAGS), "--horizons", "1..24",
      "--out", "analytic.csv", "--plot", "analytic.svg"],
+    ["analytic", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
+     "--s", "12", "--lags", str(LAGS), "--horizons", "1..24"],
     ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
      "--seed", "1", "--out", "profile.csv", "--plot", "profile.svg"],
+    ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
+     "--seed", "1", "--out", "profile.json"],
     ["significance", "series.csv", "--lags", str(LAGS), "--horizons", "1,6,12",
      "--replicates", "19", "--seed", "2", "--out", "significance.csv"],
+    ["significance", "series.csv", "--lags", str(LAGS), "--horizons", "1,6,12",
+     "--replicates", "19", "--seed", "2", "--out", "significance.json"],
     ["decompose", "series.csv", "probe.csv", "--lags", str(LAGS),
      "--alphabet", "8", "--seed", "4", "--out", "decompose.csv"],
 ]
@@ -34,18 +40,21 @@ COMMANDS = [
 DIGESTS = {
     "analytic.csv": "361275544ce8ded9bed74bb55652afb5d13c1ee679960200e49d3c4c6c70b492",
     "analytic.csv.manifest.json": "e285b4250c1208f54e6e253736e8a7cdcb0a3c69ae97ed7c38dedf4a5d1b570f",
+    "analytic.stdout": "361275544ce8ded9bed74bb55652afb5d13c1ee679960200e49d3c4c6c70b492",
     "analytic.svg": "9d471f575c5a1a2f765921cd5efbf95283054e46053cdafe2e55429c3d517f34",
     "analytic.svg.manifest.json": "e285b4250c1208f54e6e253736e8a7cdcb0a3c69ae97ed7c38dedf4a5d1b570f",
     "decompose.csv": "4503d8bf3dada82b968ced35d3fcef4ebaa6dd239119b2b5e0f844d1795105f5",
     "decompose.csv.manifest.json": "4372dc876f0301382b7c2eac37cfdfc798164afe46a1b1bbef96527f11173250",
     "profile.csv": "78cd5a9ba2f22b1e51d9fdae996267458b22111c4fa44cfee8f6f8166fc4f5ec",
     "profile.csv.manifest.json": "d3697d91743503d0d0ba8f6c31942cedaa37e89da833e00c6ba12dd39aa75077",
+    "profile.json": "78b9755065517a96520ab2b6370f9ec80a78a9fd05dbf98dc42b50143e392db8",
     "profile.svg": "4bfede9c66f8e082e699344a2aaa014492b2fce3806920895393003de2c6ac50",
     "profile.svg.manifest.json": "d3697d91743503d0d0ba8f6c31942cedaa37e89da833e00c6ba12dd39aa75077",
     "series.csv": "0280f17e4e7d352273ff34b68fd6e2362aa099762663b2bac2b88af321074b6e",
     "series.csv.manifest.json": "529896d5f942c69570224649c54a3a35846615d1ffadf4dd2a2db4f5b0ed0263",
     "significance.csv": "a82c6e92b6ea455e78d7b120673f19a2a6674a1ec8f961f7f07cd136709705af",
     "significance.csv.manifest.json": "5afebf3f8ad29c17935991f15d5bfa4cdb2024737b621bfee19739bbc34c2ab8",
+    "significance.json": "9c9e20168653eeff04a47c75790d251c0bd7b5df02519d27719a79fd82bdd20d",
 }
 
 
@@ -66,6 +75,10 @@ def _digest(path):
         doc = json.loads(path.read_text())
         doc.pop("timestamp")
         data = json.dumps(doc, indent=2, sort_keys=True).encode()
+    elif path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        doc["manifest"].pop("timestamp")
+        data = json.dumps(doc, indent=2, sort_keys=True).encode()
     else:
         data = path.read_bytes()
     return hashlib.sha256(data).hexdigest()
@@ -79,6 +92,8 @@ def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch):
             _write_probe(tmp_path / "series.csv", tmp_path / "probe.csv")
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output + repr(result.exception)
+        if "--out" not in args:
+            (tmp_path / f"{args[0]}.stdout").write_text(result.stdout)
     produced = {
         p.name: _digest(p) for p in sorted(tmp_path.iterdir()) if p.name != "probe.csv"
     }
