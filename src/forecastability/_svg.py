@@ -1,8 +1,9 @@
 """Minimal deterministic SVG line plots for profile tables.
 
-The plot is rendered straight from the already-formatted table values (no
-recomputation), with one path per profile and labelled axes.  Output is
-plain SVG 1.1 text with LF line endings, byte-stable for identical input.
+The plot draws one profile from the same floats the table reports, in the
+reported units (no recomputation), as one labelled path on labelled axes.
+Output is plain SVG 1.1 text with LF line endings, byte-stable for
+identical input.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import math
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 48
+_COLOR = "#1f6fb4"
 
 
-def _ticks(lo: float, hi: float, max_ticks: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw_step = (hi - lo) / max_ticks
+    raw_step = (hi - lo) / 6  # about six ticks per axis
     mag = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw_step:
@@ -32,15 +34,10 @@ def _ticks(lo: float, hi: float, max_ticks: int = 6) -> list[float]:
 
 
 def render_profile_svg(
-    horizons: list[int],
-    series: list[tuple[str, list[float]]],
-    y_label: str,
-    title: str = "",
+    horizons: list[int], label: str, values: list[float], y_label: str, title: str
 ) -> str:
-    """Render one or more profiles (NaN entries break the line) to SVG text."""
-    finite = [
-        v for _, vals in series for v in vals if v is not None and not math.isnan(v)
-    ]
+    """Render one labelled profile (NaN entries break the line) to SVG text."""
+    finite = [v for v in values if not math.isnan(v)]
     y_lo = min(0.0, min(finite)) if finite else 0.0
     y_hi = max(finite) if finite else 1.0
     if y_hi <= y_lo:
@@ -59,17 +56,13 @@ def render_profile_svg(
     def sy(y: float) -> float:
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    palette = ("#1f6fb4", "#c14a2e", "#3c8a4b", "#7a4ab4")
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{_escape(title)}</text>',
     ]
-    if title:
-        lines.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_escape(title)}</text>'
-        )
     axis_y0 = sy(y_lo)
     lines.append(
         f'<path d="M {_MARGIN_L:.1f} {_MARGIN_T:.1f} L {_MARGIN_L:.1f} {axis_y0:.1f} '
@@ -105,28 +98,24 @@ def render_profile_svg(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>'
     )
-    for idx, (label, vals) in enumerate(series):
-        color = palette[idx % len(palette)]
-        d_parts: list[str] = []
-        pen_down = False
-        for h, v in zip(horizons, vals):
-            if v is None or math.isnan(v):
-                pen_down = False
-                continue
-            cmd = "L" if pen_down else "M"
-            d_parts.append(f"{cmd} {sx(h):.2f} {sy(v):.2f}")
-            pen_down = True
-        if d_parts:
-            lines.append(
-                f'<path d="{" ".join(d_parts)}" stroke="{color}" '
-                f'stroke-width="1.5" fill="none"/>'
-            )
-        if label:
-            lines.append(
-                f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16 + 16 * idx}" '
-                f'text-anchor="end" font-family="sans-serif" font-size="11" '
-                f'fill="{color}">{_escape(label)}</text>'
-            )
+    d_parts: list[str] = []
+    pen_down = False
+    for h, v in zip(horizons, values):
+        if math.isnan(v):
+            pen_down = False
+            continue
+        d_parts.append(f"{'L' if pen_down else 'M'} {sx(h):.2f} {sy(v):.2f}")
+        pen_down = True
+    if d_parts:
+        lines.append(
+            f'<path d="{" ".join(d_parts)}" stroke="{_COLOR}" '
+            f'stroke-width="1.5" fill="none"/>'
+        )
+    lines.append(
+        f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16}" '
+        f'text-anchor="end" font-family="sans-serif" font-size="11" '
+        f'fill="{_COLOR}">{_escape(label)}</text>'
+    )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

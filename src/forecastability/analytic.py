@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .core import ForecastabilityProfile, TimeSeries, _ascending_horizons
 from .errors import CoverageError, DomainError, SingularSystem
@@ -79,25 +80,18 @@ class GaussianProcessSpec:
 
 @dataclass(frozen=True)
 class GaussianEntropySummary:
-    """Marginal entropy, entropy rate and their difference, all in nats.
+    """Marginal entropy and entropy rate, in nats.
 
-    The one-step forecastability is stored as the exact float difference
-    ``marginal_entropy_nats - entropy_rate_nats`` so the defining identity
-    holds bit-for-bit.
+    The computed property ``one_step_forecastability_nats`` is their exact
+    float difference ``marginal_entropy_nats - entropy_rate_nats``.
     """
 
     marginal_entropy_nats: float
     entropy_rate_nats: float
-    one_step_forecastability_nats: float
 
-    def __post_init__(self):
-        if self.one_step_forecastability_nats != (
-            self.marginal_entropy_nats - self.entropy_rate_nats
-        ):
-            raise ValueError(
-                "one_step_forecastability_nats must equal "
-                "marginal_entropy_nats - entropy_rate_nats exactly"
-            )
+    @property
+    def one_step_forecastability_nats(self) -> float:
+        return self.marginal_entropy_nats - self.entropy_rate_nats
 
 
 def ar1_profile(phi: float, horizons) -> ForecastabilityProfile:
@@ -181,7 +175,7 @@ def gaussian_profile_from_acf(rho, p: int, horizons) -> ForecastabilityProfile:
             f"need autocorrelations up to lag {needed}, got {rho.size}"
         )
     full = np.concatenate([[1.0], rho])
-    L = _nested_cholesky(_toeplitz_from(full, p))
+    L = _nested_cholesky(toeplitz(full[:p]))
     values = []
     for h in horizons:
         z = _forward_solve(L, full[h: h + p])
@@ -197,11 +191,6 @@ def gaussian_profile_from_acf(rho, p: int, horizons) -> ForecastabilityProfile:
     return ForecastabilityProfile(
         horizons=horizons, values_nats=tuple(values), source="analytic"
     )
-
-
-def _toeplitz_from(full: np.ndarray, p: int) -> np.ndarray:
-    idx = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :])
-    return full[idx]
 
 
 def _forward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,11 +212,7 @@ def gaussian_entropy_summary(spec: GaussianProcessSpec) -> GaussianEntropySummar
     phi, s2 = spec.phi, spec.innovation_variance
     marginal = 0.5 * math.log(2.0 * math.pi * math.e * s2 / (1.0 - phi * phi))
     rate = 0.5 * math.log(2.0 * math.pi * math.e * s2)
-    return GaussianEntropySummary(
-        marginal_entropy_nats=marginal,
-        entropy_rate_nats=rate,
-        one_step_forecastability_nats=marginal - rate,
-    )
+    return GaussianEntropySummary(marginal_entropy_nats=marginal, entropy_rate_nats=rate)
 
 
 def simulate(

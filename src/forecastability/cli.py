@@ -60,6 +60,8 @@ _EXIT_CONTRACT = 2
 _EXIT_NO_DATA = 3
 
 _INT64_BOUND = 2.0 ** 63
+# numpy sizes an array in bytes with an intp: the longest float64 array
+_MAX_FLOAT_ARRAY = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 # the estimator settings that are not options, recorded in every manifest
 # of an estimating command
@@ -121,6 +123,11 @@ def _contract_guard(func):
 def _at_least(flag: str, value: int, minimum: int):
     if value < minimum:
         raise ParseError(f"{flag} must be >= {minimum}, got {value}")
+
+
+def _at_most(flag: str, value: int, maximum: float):
+    if value > maximum:
+        raise ParseError(f"{flag} must be <= {maximum}, got {value}")
 
 
 def parse_horizons(text: str) -> tuple[int, ...]:
@@ -295,16 +302,14 @@ def emit_table(
 def _emit_plot(
     plot: str,
     horizons,
-    labelled_values: list[tuple[str, list[float]]],
+    label: str,
+    values: list[float],
     units: str,
     manifest: RunManifest,
     title: str,
 ):
     svg = render_profile_svg(
-        list(horizons),
-        labelled_values,
-        y_label=f"forecastability ({units})",
-        title=title,
+        list(horizons), label, values, f"forecastability ({units})", title
     )
     _write_output(plot, svg, manifest)
 
@@ -359,7 +364,12 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
     _at_least("--n", n, 1)
     _at_least("--burn-in", burn_in, 0)
     _at_least("--seed", seed, 0)
+    # the kept path and its burn-in are drawn as one array
+    _at_most("--n", n, _MAX_FLOAT_ARRAY)
+    _at_most("--burn-in", burn_in, _MAX_FLOAT_ARRAY - n)
     spec = _gaussian_spec(model, phi, big_phi, s, sigma2)
+    if model == "seasonal":  # the filter has s + 2 coefficients
+        _at_most("--s", s, _MAX_FLOAT_ARRAY - 2)
     series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
     lines = ["value"]
     lines.extend(repr(float(v)) for v in series.values)
@@ -395,6 +405,8 @@ def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
     if model == "ar1":  # Markov: F(h; p) = F(h; 1) for every window p
         profile = ar1_profile(phi, horizons)
     else:
+        # seasonal_ar_acf raises phi and Phi to float powers of s
+        _at_most("--s", s, sys.float_info.max)
         rho = seasonal_ar_acf(phi, big_phi, s, horizons[-1] + lags - 1)
         profile = gaussian_profile_from_acf(rho, lags, horizons)
     manifest = RunManifest.build(
@@ -413,7 +425,7 @@ def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
     ]
     emit_table(["horizon", value_col], rows, manifest, out)
     if plot:
-        _emit_plot(plot, profile.horizons, [(model, shown)], units, manifest,
+        _emit_plot(plot, profile.horizons, model, shown, units, manifest,
                    title=f"analytic profile ({model})")
 
 
@@ -474,7 +486,7 @@ def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
     columns, rows, shown = _profile_rows(profile, units)
     emit_table(columns, rows, manifest, out)
     if plot:
-        _emit_plot(plot, profile.horizons, [(series.name or "profile", shown)],
+        _emit_plot(plot, profile.horizons, series.name or "profile", shown,
                    units, manifest, title=f"estimated profile: {series.name}")
 
 
@@ -588,15 +600,8 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     for h in live:
         dec = decompose_loss(probes[h], series, fhat, config)
         row = {
-            "horizon": h,
+            **asdict(dec),
             "n_eval": probes[h].n_eval,
-            "expected_loss_nats": dec.expected_loss_nats,
-            "marginal_entropy_nats": dec.marginal_entropy_nats,
-            "forecastability_nats": dec.forecastability_nats,
-            "exploitability_nats": dec.exploitability_nats,
-            "exploitation_ratio": dec.exploitation_ratio,
-            "approximation_gap_nats": dec.approximation_gap_nats,
-            "low_forecastability": dec.low_forecastability,
             "pinsker_tv_bound": pinsker_bound(
                 max(dec.forecastability_nats, 0.0)
             ).pinsker_tv_bound,

@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndim=1) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -80,25 +80,27 @@ class EmbeddedPairs:
     """Paired (past window, future value) samples for one horizon.
 
     ``past[i]`` holds the window ``(y[p-1+i], ..., y[i])`` -- most recent lag
-    first -- and ``future[i] = y[p-1+i+h]``.
+    first -- and ``future[i] = y[p-1+i+h]``.  The computed property
+    ``n_effective`` is the number of pairs, ``future.size``.
     """
 
     past: np.ndarray
     future: np.ndarray
     horizon: int
-    n_effective: int
 
     def __post_init__(self):
         past = _frozen_array(self.past, ndim=2)
         future = _frozen_array(self.future)
         if past.shape[0] != future.shape[0]:
             raise ValueError("past and future must have equal length")
-        if past.shape[0] != self.n_effective:
-            raise ValueError("n_effective does not match the number of pairs")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         object.__setattr__(self, "past", past)
         object.__setattr__(self, "future", future)
+
+    @property
+    def n_effective(self) -> int:
+        return self.future.size
 
 
 @dataclass(frozen=True)
@@ -188,4 +190,4 @@ def lag_embed(series: TimeSeries, p: int, h: int) -> EmbeddedPairs:
     rows = np.arange(n_eff)[:, None] + np.arange(p - 1, -1, -1)[None, :]
     past = y[rows]
     future = y[p - 1 + np.arange(n_eff) + h]
-    return EmbeddedPairs(past=past, future=future, horizon=h, n_effective=n_eff)
+    return EmbeddedPairs(past=past, future=future, horizon=h)

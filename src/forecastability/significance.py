@@ -22,33 +22,33 @@ __all__ = ["SignificanceResult", "permutation_test", "add_one_p_value"]
 _MIN_REPLICATES = 19  # resolution floor for p <= 0.05
 
 
-@dataclass(frozen=True)
-class SignificanceResult:
-    """Observed statistic, permutation null sample and p-value for one horizon."""
-
-    horizon: int
-    observed_nats: float
-    null_samples: tuple[float, ...]
-    p_value: float
-    replicates: int
-    seed: int
-
-    def __post_init__(self):
-        if len(self.null_samples) != self.replicates:
-            raise ValueError("null_samples length must equal the replicate count")
-        if not 0.0 < self.p_value <= 1.0:
-            raise ValueError("p_value must lie in (0, 1]")
-
-
 def add_one_p_value(observed: float, null_samples) -> float:
     """Exact permutation p-value with the observed statistic counted once."""
     null = np.asarray(null_samples, dtype=float)
     return float((1 + int(np.sum(null >= observed))) / (null.size + 1))
 
 
-def _replicate_seed(seed: int, b: int) -> int:
-    # prefix-stable splitting rule: replicate b shuffles with seed XOR b
-    return seed ^ b
+@dataclass(frozen=True)
+class SignificanceResult:
+    """Observed statistic and permutation null sample for one horizon.
+
+    ``p_value`` (the add-one p-value of ``observed_nats`` against
+    ``null_samples``) and ``replicates`` (the null sample size) are computed
+    properties.
+    """
+
+    horizon: int
+    observed_nats: float
+    null_samples: tuple[float, ...]
+    seed: int
+
+    @property
+    def p_value(self) -> float:
+        return add_one_p_value(self.observed_nats, self.null_samples)
+
+    @property
+    def replicates(self) -> int:
+        return len(self.null_samples)
 
 
 def permutation_test(
@@ -72,6 +72,8 @@ def permutation_test(
         raise ConfigError(
             f"need at least {_MIN_REPLICATES} replicates to resolve p <= 0.05"
         )
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     observed = estimate_profile(series, spec, config)
     live = observed.horizons_with_data()
     if not live:
@@ -79,22 +81,18 @@ def permutation_test(
     null_values: dict[int, list[float]] = {h: [] for h in live}
     values = series.values
     for b in range(replicates):
-        rng = np.random.default_rng(_replicate_seed(seed, b))
+        # prefix-stable splitting rule: replicate b shuffles with seed XOR b
+        rng = np.random.default_rng(seed ^ b)
         shuffled = TimeSeries(values[rng.permutation(values.size)], name=series.name)
         null_profile = estimate_profile(shuffled, spec, config)
         for h in live:
             null_values[h].append(null_profile.value_at(h))
-    results = []
-    for h in live:
-        null = null_values[h]
-        results.append(
-            SignificanceResult(
-                horizon=h,
-                observed_nats=observed.value_at(h),
-                null_samples=tuple(null),
-                p_value=add_one_p_value(observed.value_at(h), null),
-                replicates=replicates,
-                seed=seed,
-            )
+    return [
+        SignificanceResult(
+            horizon=h,
+            observed_nats=observed.value_at(h),
+            null_samples=tuple(null_values[h]),
+            seed=seed,
         )
-    return results
+        for h in live
+    ]

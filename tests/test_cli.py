@@ -88,6 +88,26 @@ def test_unwritable_output_exit_2(runner, tmp_path, command, flag):
     assert f"cannot write {target}: " in assert_contract_exit(result, 2)
 
 
+# Each value is beyond what a numpy float64 array length or a Python float can
+# hold, so it is rejected before anything is allocated.
+@pytest.mark.parametrize("flag,args", [
+    ("--n", ["simulate", "--model", "ar1", "--phi", "0.5",
+             "--n", "99999999999999999999"]),
+    ("--burn-in", ["simulate", "--model", "ar1", "--phi", "0.5", "--n", "10",
+                   "--burn-in", "4611686018427387904"]),
+    ("--s", ["simulate", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8",
+             "--s", "99999999999999999999", "--n", "10"]),
+    ("--s", ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8",
+             "--s", "1" + "0" * 309, "--horizons", "1"]),
+], ids=["simulate-n", "simulate-burn-in", "simulate-s", "analytic-s"])
+def test_unrepresentable_integer_flag_exit_2(runner, tmp_path, flag, args):
+    if args[0] == "simulate":
+        args = [*args, "--out", str(tmp_path / "x.csv")]
+    result = runner.invoke(main, args)
+    assert assert_contract_exit(result, 2).startswith(f"error: {flag} must be <= ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(forecastability.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -116,13 +116,7 @@ class TestEmbeddedPairs:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             EmbeddedPairs(
-                past=np.zeros((3, 2)), future=np.zeros(2), horizon=1, n_effective=3
-            )
-
-    def test_wrong_count(self):
-        with pytest.raises(ValueError):
-            EmbeddedPairs(
-                past=np.zeros((3, 2)), future=np.zeros(3), horizon=1, n_effective=4
+                past=np.zeros((3, 2)), future=np.zeros(2), horizon=1
             )
 
 

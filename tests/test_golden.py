@@ -25,8 +25,14 @@ COMMANDS = [
      "--out", "analytic.csv", "--plot", "analytic.svg"],
     ["analytic", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
      "--s", "12", "--lags", str(LAGS), "--horizons", "1..24"],
+    ["analytic", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
+     "--s", "12", "--lags", str(LAGS), "--horizons", "1..24", "--units", "bits",
+     "--out", "analytic_bits.csv", "--plot", "analytic_bits.svg"],
     ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
      "--seed", "1", "--out", "profile.csv", "--plot", "profile.svg"],
+    ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
+     "--seed", "1", "--units", "bits", "--out", "profile_bits.csv",
+     "--plot", "profile_bits.svg"],
     ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
      "--seed", "1", "--out", "profile.json"],
     ["significance", "series.csv", "--lags", str(LAGS), "--horizons", "1,6,12",
@@ -43,6 +49,10 @@ DIGESTS = {
     "analytic.stdout": "361275544ce8ded9bed74bb55652afb5d13c1ee679960200e49d3c4c6c70b492",
     "analytic.svg": "9d471f575c5a1a2f765921cd5efbf95283054e46053cdafe2e55429c3d517f34",
     "analytic.svg.manifest.json": "e285b4250c1208f54e6e253736e8a7cdcb0a3c69ae97ed7c38dedf4a5d1b570f",
+    "analytic_bits.csv": "d31ddf54f74b0147910bd63852d4a5f3c88e868f2cdc704f71237e08b4d838aa",
+    "analytic_bits.csv.manifest.json": "92b5d4069e2543b608e681a815b6af3fa0db57dfe71c6913add1e9378a6df1a7",
+    "analytic_bits.svg": "49c03500c74dc46c84e626fc84b42bdae0492f283c679e0392859919af4d3bab",
+    "analytic_bits.svg.manifest.json": "92b5d4069e2543b608e681a815b6af3fa0db57dfe71c6913add1e9378a6df1a7",
     "decompose.csv": "4503d8bf3dada82b968ced35d3fcef4ebaa6dd239119b2b5e0f844d1795105f5",
     "decompose.csv.manifest.json": "4372dc876f0301382b7c2eac37cfdfc798164afe46a1b1bbef96527f11173250",
     "profile.csv": "78cd5a9ba2f22b1e51d9fdae996267458b22111c4fa44cfee8f6f8166fc4f5ec",
@@ -50,6 +60,10 @@ DIGESTS = {
     "profile.json": "78b9755065517a96520ab2b6370f9ec80a78a9fd05dbf98dc42b50143e392db8",
     "profile.svg": "4bfede9c66f8e082e699344a2aaa014492b2fce3806920895393003de2c6ac50",
     "profile.svg.manifest.json": "d3697d91743503d0d0ba8f6c31942cedaa37e89da833e00c6ba12dd39aa75077",
+    "profile_bits.csv": "3993cae7075c96514db88cd5db6738bd38b15437c3e679ad2c59630ce6e78ce6",
+    "profile_bits.csv.manifest.json": "c6cac28bfe4b185a12350ea77dd757a09bbc4e6ec88a5e3444ed207f9b591458",
+    "profile_bits.svg": "21a0bf36c4f7d13f7af842029b20194745a8c1b2cc24335c1d319b0c2f558fff",
+    "profile_bits.svg.manifest.json": "c6cac28bfe4b185a12350ea77dd757a09bbc4e6ec88a5e3444ed207f9b591458",
     "series.csv": "0280f17e4e7d352273ff34b68fd6e2362aa099762663b2bac2b88af321074b6e",
     "series.csv.manifest.json": "529896d5f942c69570224649c54a3a35846615d1ffadf4dd2a2db4f5b0ed0263",
     "significance.csv": "a82c6e92b6ea455e78d7b120673f19a2a6674a1ec8f961f7f07cd136709705af",

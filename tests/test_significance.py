@@ -6,7 +6,6 @@ from forecastability import (
     EstimatorConfig,
     GaussianProcessSpec,
     InformationSetSpec,
-    SignificanceResult,
     TimeSeries,
     add_one_p_value,
     permutation_test,
@@ -43,6 +42,12 @@ class TestPermutationTest:
         with pytest.raises(ConfigError):
             permutation_test(
                 white_noise, InformationSetSpec(1, (1,)), config, replicates=18, seed=0
+            )
+
+    def test_negative_seed_rejected(self, white_noise, config):
+        with pytest.raises(ConfigError):
+            permutation_test(
+                white_noise, InformationSetSpec(1, (1,)), config, replicates=19, seed=-1
             )
 
     def test_white_noise_not_significant(self, config):
@@ -100,18 +105,3 @@ class TestPermutationTest:
         )
         assert results == []
 
-
-class TestSignificanceResult:
-    def test_validates_null_length(self):
-        with pytest.raises(ValueError):
-            SignificanceResult(
-                horizon=1, observed_nats=0.5, null_samples=(0.1,),
-                p_value=0.5, replicates=2, seed=0,
-            )
-
-    def test_validates_p_range(self):
-        with pytest.raises(ValueError):
-            SignificanceResult(
-                horizon=1, observed_nats=0.5, null_samples=(0.1, 0.2),
-                p_value=0.0, replicates=2, seed=0,
-            )
