@@ -9,89 +9,20 @@ loss into irreducible and approximation components.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    GaussianEntropySummary,
-    GaussianProcessSpec,
-    ar1_profile,
-    gaussian_entropy_summary,
-    gaussian_profile_from_acf,
-    seasonal_ar_acf,
-    simulate,
-)
-from .core import (
-    EmbeddedPairs,
-    EstimatorMeta,
-    ForecastabilityProfile,
-    InformationSetSpec,
-    TimeSeries,
-    lag_embed,
-)
-from .diagnostics import (
-    FloorBounds,
-    LossDecomposition,
-    ProbeEvaluation,
-    decompose_loss,
-    fano_bound,
-    pinsker_bound,
-)
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DegenerateSample,
-    DomainError,
-    ForecastabilityError,
-    InsufficientData,
-    MissingHorizon,
-    SingularSystem,
-)
-from .estimators import (
-    EstimatorConfig,
-    FiniteWindowBudget,
-    digamma,
-    estimate_profile,
-    finite_window_budget,
-    kl_entropy,
-    ksg_mutual_information,
-)
-from .significance import SignificanceResult, add_one_p_value, permutation_test
+from . import analytic, core, diagnostics, errors, estimators, significance
+from .analytic import *  # noqa: F403
+from .core import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .significance import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "TimeSeries",
-    "InformationSetSpec",
-    "EmbeddedPairs",
-    "EstimatorMeta",
-    "ForecastabilityProfile",
-    "lag_embed",
-    "GaussianProcessSpec",
-    "GaussianEntropySummary",
-    "ar1_profile",
-    "seasonal_ar_acf",
-    "gaussian_profile_from_acf",
-    "gaussian_entropy_summary",
-    "simulate",
-    "EstimatorConfig",
-    "FiniteWindowBudget",
-    "digamma",
-    "kl_entropy",
-    "ksg_mutual_information",
-    "estimate_profile",
-    "finite_window_budget",
-    "SignificanceResult",
-    "add_one_p_value",
-    "permutation_test",
-    "ProbeEvaluation",
-    "LossDecomposition",
-    "FloorBounds",
-    "decompose_loss",
-    "fano_bound",
-    "pinsker_bound",
-    "ForecastabilityError",
-    "InsufficientData",
-    "DomainError",
-    "SingularSystem",
-    "CoverageError",
-    "DegenerateSample",
-    "ConfigError",
-    "MissingHorizon",
+    *core.__all__,
+    *analytic.__all__,
+    *estimators.__all__,
+    *significance.__all__,
+    *diagnostics.__all__,
+    *errors.__all__,
 ]

@@ -22,7 +22,6 @@ Values are reported in nats by default; ``--units bits`` divides by ln 2.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -104,25 +103,31 @@ def _die(code: int, message: str):
     sys.exit(code)
 
 
-def _contract_guard(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+class _ContractGroup(click.Group):
+    """Maps package errors, raised while a command parses its flags or runs,
+    to the documented exit codes with one ``error:`` line."""
+
+    def invoke(self, ctx):
         try:
-            return func(*args, **kwargs)
+            return super().invoke(ctx)
         except InsufficientData as exc:
             _die(_EXIT_NO_DATA, str(exc))
         except ForecastabilityError as exc:
             _die(_EXIT_CONTRACT, str(exc))
-
-    return wrapper
+        except MemoryError as exc:  # numpy refuses sizes beyond the address space
+            _die(_EXIT_CONTRACT, f"cannot allocate memory: {exc}")
 
 
 # ---------------------------------------------------------------- parsing
 
 
-def _at_least(flag: str, value: int, minimum: int):
-    if value < minimum:
-        raise ParseError(f"{flag} must be >= {minimum}, got {value}")
+def _at_least(minimum: int):
+    """A flag callback that rejects values below ``minimum``."""
+    def check(ctx, param, value):
+        if value < minimum:
+            raise ParseError(f"{param.opts[0]} must be >= {minimum}, got {value}")
+        return value
+    return check
 
 
 def _at_most(flag: str, value: int, maximum: float):
@@ -168,7 +173,7 @@ def _is_numeric_row(cells: list[str]) -> bool:
 
 def _split_rows(path: str) -> list[list[str]]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a BOM
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     rows = [
@@ -299,37 +304,79 @@ def emit_table(
         _write_output(out, text, manifest)
 
 
-def _emit_plot(
-    plot: str,
-    horizons,
-    label: str,
-    values: list[float],
-    units: str,
-    manifest: RunManifest,
-    title: str,
-):
-    svg = render_profile_svg(
-        list(horizons), label, values, f"forecastability ({units})", title
-    )
-    _write_output(plot, svg, manifest)
-
-
-def _in_units(value: float, units: str) -> float:
-    return value / _LN2 if units == "bits" else value
+def _emit_profile(profile: ForecastabilityProfile, units: str, manifest: RunManifest,
+                  out: str | None, plot: str | None, label: str, title: str):
+    """Write a profile as a table and, given ``plot``, as an SVG; an estimated
+    one adds ``n_effective`` and ``gap``, with NaN (an empty cell) at gaps."""
+    value_col = f"f_{units}"
+    shown = [v / _LN2 if units == "bits" else v for v in profile.values_nats]
+    columns = ["horizon", value_col]
+    rows = [{"horizon": h, value_col: v} for h, v in zip(profile.horizons, shown)]
+    if profile.estimator_meta is not None:
+        columns += ["n_effective", "gap"]
+        for row, n_eff in zip(rows, profile.estimator_meta.n_effective):
+            row.update(n_effective=n_eff, gap=math.isnan(row[value_col]))
+    emit_table(columns, rows, manifest, out)
+    if plot:
+        svg = render_profile_svg(
+            list(profile.horizons), label, shown, f"forecastability ({units})", title
+        )
+        _write_output(plot, svg, manifest)
 
 
 # ---------------------------------------------------------------- commands
 
 
-@click.group()
+@click.group(cls=_ContractGroup)
 @click.version_option(version=__version__)
 def main():
     """Horizon-resolved forecastability diagnostics for univariate series."""
 
 
+def _process_options(command):
+    """The Gaussian process flags of ``simulate`` and ``analytic``."""
+    for option in reversed((
+        click.option("--model", type=click.Choice(["ar1", "seasonal"]), required=True),
+        click.option("--phi", type=float, required=True, help="First-lag coefficient."),
+        click.option("--Phi", "big_phi", type=float, default=None,
+                     help="Seasonal-lag coefficient (seasonal model)."),
+        click.option("--s", type=int, default=None,
+                     help="Seasonal period (seasonal model)."),
+    )):
+        command = option(command)
+    return command
+
+
+_series_argument = click.argument(
+    "input_csv", type=click.Path(exists=True, dir_okay=False)
+)
+_lags_option = click.option(
+    "--lags", type=int, default=1, show_default=True, callback=_at_least(1),
+    help="Lag-window order p of the conditioning set.",
+)
+_horizons_option = click.option(
+    "--horizons", required=True, help="e.g. 1..36 or 1,2,12",
+    callback=lambda ctx, param, text: parse_horizons(text),
+)
+_k_option = click.option(
+    "--k", type=int, default=EstimatorConfig.k, show_default=True,
+    help="Neighbour count of the mutual-information estimator.",
+)
+_seed_option = click.option(
+    "--seed", type=int, default=0, show_default=True, callback=_at_least(0),
+    help="Seed of every random draw.",
+)
 _units_option = click.option(
     "--units", type=click.Choice(["nats", "bits"]), default="nats",
     show_default=True, help="Information units for reported values.",
+)
+_out_option = click.option(
+    "--out", type=click.Path(dir_okay=False), default=None,
+    help="Output table; .json for JSON, else CSV (default: CSV on stdout).",
+)
+_plot_option = click.option(
+    "--plot", type=click.Path(dir_okay=False), default=None,
+    help="SVG plot of the profile.",
 )
 
 
@@ -343,27 +390,21 @@ def _gaussian_spec(model: str, phi: float, big_phi: float | None, s: int | None,
 
 
 @main.command("simulate")
-@click.option("--model", type=click.Choice(["ar1", "seasonal"]), required=True)
-@click.option("--phi", type=float, required=True, help="First-lag coefficient.")
-@click.option("--Phi", "big_phi", type=float, default=None,
-              help="Seasonal-lag coefficient (seasonal model).")
-@click.option("--s", type=int, default=None, help="Seasonal period (seasonal model).")
+@_process_options
 @click.option("--sigma2", type=float, default=1.0, show_default=True,
               help="Innovation variance.")
-@click.option("--n", type=int, required=True, help="Number of observations to keep.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--burn-in", type=int, default=1000, show_default=True)
+@click.option("--n", type=int, required=True, callback=_at_least(1),
+              help="Number of observations to keep.")
+@_seed_option
+@click.option("--burn-in", type=int, default=1000, show_default=True,
+              callback=_at_least(0))
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_contract_guard
 def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
     """Simulate a Gaussian AR path and write it as a value-column CSV.
 
     Values are written with full round-trip precision so that downstream
     estimation from the file matches in-memory estimation exactly.
     """
-    _at_least("--n", n, 1)
-    _at_least("--burn-in", burn_in, 0)
-    _at_least("--seed", seed, 0)
     # the kept path and its burn-in are drawn as one array
     _at_most("--n", n, _MAX_FLOAT_ARRAY)
     _at_most("--burn-in", burn_in, _MAX_FLOAT_ARRAY - n)
@@ -386,27 +427,23 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
 
 
 @main.command("analytic")
-@click.option("--model", type=click.Choice(["ar1", "seasonal"]), required=True)
-@click.option("--phi", type=float, required=True)
-@click.option("--Phi", "big_phi", type=float, default=None)
-@click.option("--s", type=int, default=None)
-@click.option("--lags", type=int, default=1, show_default=True,
-              help="Lag-window order p of the conditioning set.")
-@click.option("--horizons", required=True, help="e.g. 1..36 or 1,2,12")
+@_process_options
+@_lags_option
+@_horizons_option
 @_units_option
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--plot", type=click.Path(dir_okay=False), default=None)
-@_contract_guard
+@_out_option
+@_plot_option
 def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
     """Exact Gaussian forecastability profile for an AR(1) or seasonal AR."""
-    horizons = parse_horizons(horizons)
-    _at_least("--lags", lags, 1)
     _gaussian_spec(model, phi, big_phi, s, 1.0)
     if model == "ar1":  # Markov: F(h; p) = F(h; 1) for every window p
         profile = ar1_profile(phi, horizons)
     else:
-        # seasonal_ar_acf raises phi and Phi to float powers of s
+        # seasonal_ar_acf raises phi and Phi to float powers of s, and
+        # holds max(horizons) + lags floats
         _at_most("--s", s, sys.float_info.max)
+        _at_most("--lags", lags, _MAX_FLOAT_ARRAY - 1)
+        _at_most("--horizons", horizons[-1], _MAX_FLOAT_ARRAY - lags)
         rho = seasonal_ar_acf(phi, big_phi, s, horizons[-1] + lags - 1)
         profile = gaussian_profile_from_acf(rho, lags, horizons)
     manifest = RunManifest.build(
@@ -418,31 +455,8 @@ def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
         inputs=[],
         seed=None,
     )
-    value_col = f"f_{units}"
-    shown = [_in_units(v, units) for v in profile.values_nats]
-    rows = [
-        {"horizon": h, value_col: v} for h, v in zip(profile.horizons, shown)
-    ]
-    emit_table(["horizon", value_col], rows, manifest, out)
-    if plot:
-        _emit_plot(plot, profile.horizons, model, shown, units, manifest,
-                   title=f"analytic profile ({model})")
-
-
-def _profile_rows(profile: ForecastabilityProfile, units: str):
-    value_col = f"f_{units}"
-    rows = []
-    shown = []
-    for h, v, n_eff in zip(
-        profile.horizons, profile.values_nats, profile.estimator_meta.n_effective
-    ):
-        gap = math.isnan(v)
-        value = None if gap else _in_units(v, units)
-        shown.append(math.nan if gap else value)
-        rows.append(
-            {"horizon": h, value_col: value, "n_effective": n_eff, "gap": gap}
-        )
-    return ["horizon", value_col, "n_effective", "gap"], rows, shown
+    _emit_profile(profile, units, manifest, out, plot, model,
+                  title=f"analytic profile ({model})")
 
 
 def _warn_gaps(requested, with_data):
@@ -455,20 +469,16 @@ def _warn_gaps(requested, with_data):
 
 
 @main.command("profile")
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--lags", type=int, default=1, show_default=True)
-@click.option("--horizons", required=True)
-@click.option("--k", type=int, default=5, show_default=True,
-              help="Neighbour count of the mutual-information estimator.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_series_argument
+@_lags_option
+@_horizons_option
+@_k_option
+@_seed_option
 @_units_option
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--plot", type=click.Path(dir_okay=False), default=None)
-@_contract_guard
+@_out_option
+@_plot_option
 def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
     """Estimate the forecastability profile of a series from CSV."""
-    horizons = parse_horizons(horizons)
-    _at_least("--lags", lags, 1)
     series = read_series_csv(input_csv)
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
@@ -483,30 +493,24 @@ def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
         inputs=[input_csv],
         seed=seed,
     )
-    columns, rows, shown = _profile_rows(profile, units)
-    emit_table(columns, rows, manifest, out)
-    if plot:
-        _emit_plot(plot, profile.horizons, series.name or "profile", shown,
-                   units, manifest, title=f"estimated profile: {series.name}")
+    _emit_profile(profile, units, manifest, out, plot, series.name or "profile",
+                  title=f"estimated profile: {series.name}")
 
 
 @main.command("significance")
-@click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--lags", type=int, default=1, show_default=True)
-@click.option("--horizons", required=True)
-@click.option("--k", type=int, default=5, show_default=True)
+@_series_argument
+@_lags_option
+@_horizons_option
+@_k_option
 @click.option("--replicates", type=int, required=True, help="Permutation count B.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_contract_guard
+@_seed_option
+@_out_option
 def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
     """Permutation test of estimated forecastability at each horizon.
 
     Reports the observed statistic (nats), the add-one p-value, and the
     50/95/99% quantiles of the permutation null.
     """
-    horizons = parse_horizons(horizons)
-    _at_least("--lags", lags, 1)
     series = read_series_csv(input_csv)
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
@@ -545,13 +549,12 @@ def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
 @main.command("decompose")
 @click.argument("series_csv", type=click.Path(exists=True, dir_okay=False))
 @click.argument("probe_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--lags", type=int, default=1, show_default=True)
-@click.option("--k", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_lags_option
+@_k_option
+@_seed_option
 @click.option("--alphabet", type=int, default=None,
               help="Alphabet size M; adds the misclassification floor column.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_contract_guard
+@_out_option
 def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     """Decompose a probe's realised log loss against the estimated profile.
 
@@ -560,7 +563,6 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     assigned to the realised outcome at series row t_index.  All values are
     reported in nats.
     """
-    _at_least("--lags", lags, 1)
     series = read_series_csv(series_csv)
     probes = read_probe_csv(probe_csv)
     if not probes:

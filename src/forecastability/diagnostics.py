@@ -40,6 +40,19 @@ _RATIO_FLOOR = 1e-6
 _LOW_FORECASTABILITY = 0.01
 
 
+def _int64_indices(values) -> np.ndarray:
+    """A new int64 array of ``values``; ValueError unless each one is a finite
+    integer in the int64 range."""
+    raw = np.asarray(values)
+    if np.can_cast(raw.dtype, np.int64):
+        return raw.astype(np.int64)
+    as_float = raw.astype(float)
+    in_range = (as_float >= -(2.0 ** 63)) & (as_float < 2.0 ** 63)
+    if not np.all(in_range & (as_float == np.floor(as_float))):
+        raise ValueError("eval_indices must be finite integers in the int64 range")
+    return as_float.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class ProbeEvaluation:
     """Realised log predictive densities of one probe at one horizon.
@@ -55,8 +68,8 @@ class ProbeEvaluation:
     eval_indices: np.ndarray
 
     def __post_init__(self):
-        ld = np.asarray(self.log_densities, dtype=float)
-        idx = np.asarray(self.eval_indices, dtype=np.int64)
+        ld = np.array(self.log_densities, dtype=float)
+        idx = _int64_indices(self.eval_indices)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if ld.ndim != 1 or idx.shape != ld.shape:

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ForecastabilityError",
+    "InsufficientData",
+    "DomainError",
+    "SingularSystem",
+    "CoverageError",
+    "DegenerateSample",
+    "ConfigError",
+    "MissingHorizon",
+]
+
 
 class ForecastabilityError(Exception):
     """Base class for all errors raised by this package."""

@@ -236,9 +236,19 @@ def _ksg_conditional_mutual_information(z, w, y, k: int) -> float:
     )
 
 
+def _binary_exponent(y: np.ndarray) -> int:
+    """The e with max|y| in [2**(e-1), 2**e); 0 for an empty or all-zero y.
+
+    Scaling by 2**-e is exact, and keeps sums of squares of values near the
+    ends of the float range from overflowing or underflowing.
+    """
+    return int(np.frexp(np.max(np.abs(y)))[1]) if y.size else 0
+
+
 def _prepare_values(values: np.ndarray, seed: int) -> np.ndarray:
     """Standardize, then jitter."""
     y = np.asarray(values, dtype=float)
+    y = np.ldexp(y, -_binary_exponent(y))
     sd = float(y.std())
     if sd == 0.0:
         raise DegenerateSample("constant series cannot be standardized")
@@ -248,7 +258,8 @@ def _prepare_values(values: np.ndarray, seed: int) -> np.ndarray:
 def _jitter(y: np.ndarray, seed: int) -> np.ndarray:
     """Add seeded uniform tie-breaking noise of amplitude _JITTER_SCALE times
     the standard deviation of y (times 1 when y is constant)."""
-    sd = float(y.std())
+    e = _binary_exponent(y)
+    sd = math.ldexp(float(np.ldexp(y, -e).std()), e)
     amplitude = _JITTER_SCALE * (sd if sd > 0.0 else 1.0)
     return y + np.random.default_rng(seed).uniform(-amplitude, amplitude, size=y.size)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from forecastability import EstimatorConfig, GaussianProcessSpec, simulate
+
+# property tests draw the same examples on every run and keep no state
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from forecastability import (
     estimate_profile,
     simulate,
 )
-from forecastability.cli import main, parse_horizons, read_series_csv
+from forecastability.cli import main, parse_horizons, read_probe_csv, read_series_csv
 
 LN2 = math.log(2.0)
 
@@ -66,6 +66,34 @@ def test_lags_below_one_exit_2(runner, tmp_path, command):
     assert "--lags" in assert_contract_exit(result, 2)
 
 
+@pytest.mark.parametrize("command", ["profile", "significance", "decompose"])
+def test_seed_below_zero_exit_2(runner, tmp_path, command):
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+    probe = tmp_path / "probe.csv"
+    probe.write_text("t_index,horizon,log_density\n10,1,-1.0\n11,1,-1.0\n")
+    args = {
+        "profile": [str(data), "--horizons", "1"],
+        "significance": [str(data), "--horizons", "1", "--replicates", "19"],
+        "decompose": [str(data), str(probe)],
+    }[command]
+    result = runner.invoke(main, [command, *args, "--seed", "-1"])
+    assert assert_contract_exit(result, 2) == "error: --seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("flags,first", [
+    (["--lags", "0", "--seed", "-1", "--horizons", "0"], "--lags"),
+    (["--seed", "-1", "--horizons", "0", "--lags", "0"], "--seed"),
+    (["--horizons", "0", "--lags", "0", "--seed", "-1"], "horizons"),
+])
+def test_first_invalid_flag_reported_in_command_line_order(runner, tmp_path,
+                                                           flags, first):
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+    result = runner.invoke(main, ["profile", str(data), *flags])
+    assert first in assert_contract_exit(result, 2)
+
+
 @pytest.mark.parametrize("command,flag", [
     ("simulate", "--out"), ("analytic", "--out"), ("analytic", "--plot"),
     ("profile", "--plot"), ("significance", "--out"), ("decompose", "--out"),
@@ -99,7 +127,12 @@ def test_unwritable_output_exit_2(runner, tmp_path, command, flag):
              "--s", "99999999999999999999", "--n", "10"]),
     ("--s", ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8",
              "--s", "1" + "0" * 309, "--horizons", "1"]),
-], ids=["simulate-n", "simulate-burn-in", "simulate-s", "analytic-s"])
+    ("--horizons", ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi",
+                    "0.8", "--s", "12", "--horizons", "99999999999999999999"]),
+    ("--lags", ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8",
+                "--s", "12", "--horizons", "1", "--lags", "99999999999999999999"]),
+], ids=["simulate-n", "simulate-burn-in", "simulate-s", "analytic-s",
+        "analytic-horizons", "analytic-lags"])
 def test_unrepresentable_integer_flag_exit_2(runner, tmp_path, flag, args):
     if args[0] == "simulate":
         args = [*args, "--out", str(tmp_path / "x.csv")]
@@ -108,11 +141,27 @@ def test_unrepresentable_integer_flag_exit_2(runner, tmp_path, flag, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+# 10**17 float64 values need 711 PiB, more than any 64-bit address space can
+# map, so numpy refuses the array before it takes any memory.
+@pytest.mark.parametrize("args", [
+    ["simulate", "--model", "ar1", "--phi", "0.5", "--n", "100000000000000000"],
+    ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8", "--s", "12",
+     "--horizons", "100000000000000000"],
+], ids=["simulate", "analytic"])
+def test_refused_allocation_exit_2(runner, tmp_path, args):
+    if args[0] == "simulate":
+        args = [*args, "--out", str(tmp_path / "x.csv")]
+    result = runner.invoke(main, args)
+    assert "allocate" in assert_contract_exit(result, 2)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(forecastability.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, forecastability.cli; assert 'scipy.signal' not in sys.modules"
+    code = ("import sys, forecastability, forecastability.cli; "
+            "assert 'scipy.signal' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
@@ -140,6 +189,18 @@ class TestParsing:
         f.write_text("0,10.0\n1,11.0\n2,12.0\n")
         ts = read_series_csv(str(f))
         assert ts.values.tolist() == [10.0, 11.0, 12.0]
+
+    def test_series_csv_byte_order_mark(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        assert read_series_csv(str(f)).values.tolist() == [1.5, 2.5, 3.5]
+
+    def test_probe_csv_byte_order_mark(self, tmp_path):
+        f = tmp_path / "probe.csv"
+        f.write_bytes(b"\xef\xbb\xbf5,1,-1.0\n6,1,-2.0\n")
+        probe = read_probe_csv(str(f))[1]
+        assert probe.eval_indices.tolist() == [5, 6]
+        assert probe.log_densities.tolist() == [-1.0, -2.0]
 
     def test_series_csv_malformed(self, tmp_path):
         from forecastability.cli import ParseError
@@ -437,6 +498,18 @@ class TestDecomposeCommand:
         self._probe_csv(probe, [9999999], [oracle[0]])
         result = runner.invoke(main, ["decompose", str(data), str(probe)])
         assert result.exit_code == 2
+
+    def test_series_near_the_float_range(self, runner, tmp_path):
+        series = simulate(GaussianProcessSpec.ar1(0.9), 300, seed=1)
+        data = tmp_path / "huge.csv"
+        data.write_text("".join(f"{float(v) * 1e160!r}\n" for v in series.values))
+        probe = tmp_path / "probe.csv"
+        probe.write_text("".join(f"{t},1,-368.0\n" for t in range(10, 60)))
+        out = tmp_path / "dec.csv"
+        run_ok(runner, ["decompose", str(data), str(probe), "--out", str(out)])
+        row = read_table(out)[0]
+        assert math.isfinite(float(row["marginal_entropy_nats"]))
+        assert float(row["forecastability_nats"]) > 0.5
 
     def test_malformed_probe_exit_2(self, runner, tmp_path):
         data, *_ = self._write_fixture(tmp_path, runner)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import forecastability
 from forecastability import (
     EmbeddedPairs,
     EstimatorMeta,
@@ -163,3 +164,21 @@ class TestForecastabilityProfile:
             ForecastabilityProfile(
                 horizons=(1, 2), values_nats=(0.1,), source="estimated"
             )
+
+
+def test_public_names():
+    assert sorted(forecastability.__all__) == [
+        "ConfigError", "CoverageError", "DegenerateSample", "DomainError",
+        "EmbeddedPairs", "EstimatorConfig", "EstimatorMeta", "FiniteWindowBudget",
+        "FloorBounds", "ForecastabilityError", "ForecastabilityProfile",
+        "GaussianEntropySummary", "GaussianProcessSpec", "InformationSetSpec",
+        "InsufficientData", "LossDecomposition", "MissingHorizon",
+        "ProbeEvaluation", "SignificanceResult", "SingularSystem", "TimeSeries",
+        "__version__", "add_one_p_value", "ar1_profile", "decompose_loss",
+        "digamma", "estimate_profile", "fano_bound", "finite_window_budget",
+        "gaussian_entropy_summary", "gaussian_profile_from_acf", "kl_entropy",
+        "ksg_mutual_information", "lag_embed", "permutation_test",
+        "pinsker_bound", "seasonal_ar_acf", "simulate",
+    ]
+    for name in forecastability.__all__:
+        assert getattr(forecastability, name) is not None

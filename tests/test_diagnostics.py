@@ -53,6 +53,24 @@ class TestProbeEvaluation:
         probe = ProbeEvaluation(1, np.zeros(40), np.arange(40))
         assert probe.n_eval == 40
 
+    def test_copies_the_callers_arrays(self):
+        ld, idx = np.array([-1.0, -2.0]), np.array([3, 4])
+        probe = ProbeEvaluation(1, ld, idx)
+        ld[0], idx[0] = 1.0, 7
+        assert probe.log_densities.tolist() == [-1.0, -2.0]
+        assert probe.eval_indices.tolist() == [3, 4]
+        assert not probe.eval_indices.flags.writeable
+        floats = ProbeEvaluation(1, ld, [-(2.0 ** 63), 5.0])
+        assert floats.eval_indices.tolist() == [-(2 ** 63), 5]
+
+    @pytest.mark.parametrize("indices", [
+        [0.5, 1.7, 2.2], [1e30, 1.0, 2.0], [np.nan, 1.0, 2.0],
+        [-np.inf, 1.0, 2.0], [2.0 ** 63, 1.0, 2.0], [2 ** 70, 1, 2],
+    ])
+    def test_rejects_indices_that_are_not_int64(self, indices):
+        with pytest.raises(ValueError, match="int64"):
+            ProbeEvaluation(1, np.zeros(3), indices)
+
 
 class TestDecomposeLoss:
     def test_oracle_probe_nearly_attains_bound(self, ar1_strong, config):

@@ -217,6 +217,17 @@ class TestEstimateProfile:
         for h in spec.horizons:
             assert moved.value_at(h) == pytest.approx(base.value_at(h), abs=1e-3)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+    def test_scale_invariance_near_float_range(self, config, scale):
+        # the standard deviation of such a series overflows or underflows
+        # unless it is taken on an exactly rescaled copy
+        series = simulate(GaussianProcessSpec.ar1(0.9), 2000, seed=1)
+        spec = InformationSetSpec(1, (1, 2, 3))
+        base = estimate_profile(series, spec, config)
+        scaled = estimate_profile(TimeSeries(series.values * scale), spec, config)
+        assert base.value_at(1) == pytest.approx(0.831, abs=0.01)
+        assert scaled.values_nats == pytest.approx(base.values_nats, abs=1e-12)
+
     def test_seasonal_profile_levels(self, config):
         # population values from the exact ACF: 0.144, 0.0004, 0.511
         series = simulate(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12), 20_000, seed=8)
