@@ -48,7 +48,13 @@ from .core import (
     TimeSeries,
     _ascending_horizons,
 )
-from .diagnostics import ProbeEvaluation, decompose_loss, fano_bound, pinsker_bound
+from .diagnostics import (
+    ProbeEvaluation,
+    _int64_indices,
+    decompose_loss,
+    fano_bound,
+    pinsker_bound,
+)
 from .errors import ForecastabilityError, InsufficientData
 from .estimators import _JITTER_SCALE, EstimatorConfig, estimate_profile
 from .significance import permutation_test
@@ -58,7 +64,6 @@ _LN2 = math.log(2.0)
 _EXIT_CONTRACT = 2
 _EXIT_NO_DATA = 3
 
-_INT64_BOUND = 2.0 ** 63
 # numpy sizes an array in bytes with an intp: the longest float64 array
 _MAX_FLOAT_ARRAY = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
@@ -150,7 +155,10 @@ def parse_horizons(text: str) -> tuple[int, ...]:
                 raise ParseError(f"bad horizon range {item!r}") from None
             if lo > hi:
                 raise ParseError(f"descending horizon range {item!r}")
-            out.extend(range(lo, hi + 1))
+            try:
+                out.extend(range(lo, hi + 1))
+            except OverflowError:  # longer than any list can be
+                raise ParseError(f"horizon range {item!r} is too long") from None
         else:
             try:
                 out.append(int(item))
@@ -162,47 +170,50 @@ def parse_horizons(text: str) -> tuple[int, ...]:
         raise ParseError(f"{exc}, got {text!r}") from None
 
 
-def _is_numeric_row(cells: list[str]) -> bool:
-    try:
-        for cell in cells:
-            float(cell)
-    except ValueError:
-        return False
-    return True
+def _read_rows(path: str, widths: tuple[int, ...]) -> list[list[float]]:
+    """The data rows of a CSV file, each cell converted to float once.
 
-
-def _split_rows(path: str) -> list[list[str]]:
+    Blank lines are skipped and a first line that is not numeric is the
+    header.  Every data row must be numeric and as wide as the first one,
+    whose width must be one of ``widths``.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a BOM
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    rows = [
-        [cell.strip() for cell in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    if not rows:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise ParseError(f"{path}: no data rows")
-    if not _is_numeric_row(rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: only a header row")
+    rows = []
+    for i, line in enumerate(lines):
+        try:
+            rows.append([float(cell) for cell in line.split(",")])
+        except ValueError:
+            if i > 0:
+                raise ParseError(
+                    f"{path}: malformed row {len(rows) + 1}: {line.strip()!r}"
+                ) from None
+    if not rows:
+        raise ParseError(f"{path}: only a header row")
+    width = len(rows[0])
+    if width not in widths:
+        raise ParseError(
+            f"{path}: expected {' or '.join(map(str, widths))} columns, found {width}"
+        )
+    header = len(lines) - len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: malformed row {i + 1}: {lines[header + i].strip()!r}"
+            )
     return rows
 
 
 def read_series_csv(path: str) -> TimeSeries:
     """Load a series from CSV: one value column, or (index, value) pairs."""
-    rows = _split_rows(path)
-    width = len(rows[0])
-    if width not in (1, 2):
-        raise ParseError(f"{path}: expected 1 or 2 columns, found {width}")
-    values = []
-    for i, cells in enumerate(rows):
-        if len(cells) != width or not _is_numeric_row(cells):
-            raise ParseError(f"{path}: malformed row {i + 1}: {','.join(cells)!r}")
-        values.append(float(cells[-1]))
+    values = np.array([row[-1] for row in _read_rows(path, (1, 2))])
     try:
-        return TimeSeries(values=np.array(values), name=Path(path).stem)
+        return TimeSeries(values=values, name=Path(path).stem)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -210,34 +221,16 @@ def read_series_csv(path: str) -> TimeSeries:
 def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
     """Load probe evaluations keyed by horizon from a (t_index, horizon,
     log_density) CSV.  Log densities are in nats, original series units."""
-    rows = _split_rows(path)
-    grouped: dict[int, dict[int, float]] = {}
-    for i, cells in enumerate(rows):
-        if len(cells) != 3 or not _is_numeric_row(cells):
-            raise ParseError(
-                f"{path}: malformed probe row {i + 1}: {','.join(cells)!r} "
-                "(expected t_index,horizon,log_density)"
-            )
-        t_raw, h_raw, ld = float(cells[0]), float(cells[1]), float(cells[2])
-        if not all(-_INT64_BOUND <= v < _INT64_BOUND for v in (t_raw, h_raw)):
-            raise ParseError(f"{path}: index outside the int64 range in row {i + 1}")
-        if t_raw != int(t_raw) or h_raw != int(h_raw):
-            raise ParseError(f"{path}: non-integer index in row {i + 1}")
-        t, h = int(t_raw), int(h_raw)
-        scored = grouped.setdefault(h, {})
-        if t in scored:
-            raise ParseError(
-                f"{path}: duplicate t_index {t} at horizon {h} in row {i + 1}"
-            )
-        scored[t] = ld
+    table = np.array(_read_rows(path, (3,)))
+    try:  # both index columns, before a horizon with too few rows can fail
+        index = _int64_indices(table[:, :2], "t_index and horizon")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     probes = {}
-    for h, scored in sorted(grouped.items()):
+    for h in np.unique(index[:, 1]):
+        rows = index[:, 1] == h
         try:
-            probes[h] = ProbeEvaluation(
-                horizon=h,
-                log_densities=np.array(list(scored.values())),
-                eval_indices=np.array(list(scored)),
-            )
+            probes[int(h)] = ProbeEvaluation(h, table[rows, 2], index[rows, 0])
         except ValueError as exc:
             raise ParseError(f"{path}: horizon {h}: {exc}") from None
     return probes
@@ -565,23 +558,12 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     """
     series = read_series_csv(series_csv)
     probes = read_probe_csv(probe_csv)
-    if not probes:
-        raise ParseError(f"{probe_csv}: no probe rows")
     horizons = tuple(sorted(probes))
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     fhat = estimate_profile(series, spec, config)
     live = fhat.horizons_with_data()
     _warn_gaps(horizons, live)
-    for h in live:
-        first = h + lags - 1
-        earliest = int(probes[h].eval_indices.min())
-        if earliest < first:
-            raise ParseError(
-                f"{probe_csv}: horizon {h}: t_index {earliest} is below "
-                f"horizon + lags - 1 = {first}, so its forecast origin has no "
-                "full lag window"
-            )
     manifest = RunManifest.build(
         command="decompose",
         config={

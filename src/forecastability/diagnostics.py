@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ForecastabilityProfile, TimeSeries
 from .errors import ConfigError, DomainError, MissingHorizon
-from .estimators import EstimatorConfig, _jitter, kl_entropy
+from .estimators import EstimatorConfig, _binary_exponent, _jitter, kl_entropy
 
 __all__ = [
     "ProbeEvaluation",
@@ -40,7 +40,7 @@ _RATIO_FLOOR = 1e-6
 _LOW_FORECASTABILITY = 0.01
 
 
-def _int64_indices(values) -> np.ndarray:
+def _int64_indices(values, name: str = "eval_indices") -> np.ndarray:
     """A new int64 array of ``values``; ValueError unless each one is a finite
     integer in the int64 range."""
     raw = np.asarray(values)
@@ -49,7 +49,7 @@ def _int64_indices(values) -> np.ndarray:
     as_float = raw.astype(float)
     in_range = (as_float >= -(2.0 ** 63)) & (as_float < 2.0 ** 63)
     if not np.all(in_range & (as_float == np.floor(as_float))):
-        raise ValueError("eval_indices must be finite integers in the int64 range")
+        raise ValueError(f"{name} must be finite integers in the int64 range")
     return as_float.astype(np.int64)
 
 
@@ -58,9 +58,9 @@ class ProbeEvaluation:
     """Realised log predictive densities of one probe at one horizon.
 
     ``eval_indices[i]`` is the series index of the realised outcome scored by
-    ``log_densities[i]`` (the forecast was issued at ``eval_indices[i] - horizon``).
-    Averages are unstable below roughly 30 evaluations; only a hard floor of
-    2 is enforced.
+    ``log_densities[i]`` (the forecast was issued at ``eval_indices[i] - horizon``);
+    each outcome is scored once.  Averages are unstable below roughly 30
+    evaluations; only a hard floor of 2 is enforced.
     """
 
     horizon: int
@@ -68,18 +68,24 @@ class ProbeEvaluation:
     eval_indices: np.ndarray
 
     def __post_init__(self):
+        horizon = _int64_indices(self.horizon, "horizon")
         ld = np.array(self.log_densities, dtype=float)
         idx = _int64_indices(self.eval_indices)
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if horizon.ndim != 0 or horizon < 1:
+            raise ValueError("horizon must be an integer >= 1")
         if ld.ndim != 1 or idx.shape != ld.shape:
             raise ValueError("log_densities and eval_indices must be equal-length 1-d")
         if ld.size < 2:
             raise ValueError("need at least 2 probe evaluations")
         if not np.all(np.isfinite(ld)):
             raise ValueError("log densities must be finite")
+        ordered = np.sort(idx)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate t_index {repeated[0]} at horizon {horizon}")
         ld.flags.writeable = False
         idx.flags.writeable = False
+        object.__setattr__(self, "horizon", int(horizon))
         object.__setattr__(self, "log_densities", ld)
         object.__setattr__(self, "eval_indices", idx)
 
@@ -126,6 +132,9 @@ def decompose_loss(
 ) -> LossDecomposition:
     """Decompose a probe's realised log loss at its horizon.
 
+    Every evaluation index must lie in the series and be at least
+    ``horizon + p - 1``, so that each forecast origin has a full window of
+    the profile's p lags (p = 1 for a profile without estimator metadata).
     The marginal entropy is the Kozachenko-Leonenko estimate on the outcomes
     at the probe's evaluation times, in original series units (standardization
     is never applied here; see the module note on units).  The ratio
@@ -138,11 +147,20 @@ def decompose_loss(
             f"profile has only a gap marker at horizon {probe.horizon}"
         )
     idx = probe.eval_indices
-    if idx.min() < 0 or idx.max() >= len(series):
+    p = 1 if fhat.estimator_meta is None else fhat.estimator_meta.p
+    first = probe.horizon + p - 1
+    if idx.min() < first:
+        raise ConfigError(
+            f"horizon {probe.horizon}: t_index {idx.min()} is below horizon + "
+            f"lags - 1 = {first}, so its forecast origin has no full lag window"
+        )
+    if idx.max() >= len(series):
         raise ConfigError("probe eval_indices fall outside the series")
     outcomes = _jitter(np.asarray(series.values[idx], dtype=float), config.seed)
     marginal_entropy = kl_entropy(outcomes, k=config.k)
-    expected_loss = float(-np.mean(probe.log_densities))
+    # scaling by a power of two is exact and keeps the sum from overflowing
+    e = _binary_exponent(probe.log_densities)
+    expected_loss = -math.ldexp(float(np.mean(np.ldexp(probe.log_densities, -e))), e)
     exploitability = marginal_entropy - expected_loss
     return LossDecomposition(
         horizon=probe.horizon,

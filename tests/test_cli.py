@@ -165,13 +165,36 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_overlong_horizon_range_exit_2(runner, tmp_path):
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+    result = runner.invoke(main, ["profile", str(data),
+                                  "--horizons", "1..99999999999999999999"])
+    assert "1..99999999999999999999" in assert_contract_exit(result, 2)
+
+
+@pytest.mark.parametrize("command", ["profile", "decompose"])
+def test_file_that_is_not_utf8_exit_2(runner, tmp_path, command):
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1.0\n2.0\n")
+    args = {
+        "profile": [str(bad), "--horizons", "1"],
+        "decompose": [str(data), str(bad)],
+    }[command]
+    result = runner.invoke(main, [command, *args])
+    assert f"cannot read {bad}: " in assert_contract_exit(result, 2)
+
+
 class TestParsing:
     def test_horizon_forms(self):
         assert parse_horizons("1..5") == (1, 2, 3, 4, 5)
         assert parse_horizons("1,2,12") == (1, 2, 12)
         assert parse_horizons("1..3,12,24") == (1, 2, 3, 12, 24)
 
-    @pytest.mark.parametrize("bad", ["", "0..3", "5..1", "2,2", "3,1", "a..b", "1.5"])
+    @pytest.mark.parametrize("bad", ["", "0..3", "5..1", "2,2", "3,1", "a..b", "1.5",
+                                     "1..99999999999999999999"])
     def test_horizon_rejects(self, bad):
         from forecastability.cli import ParseError
 

@@ -8,6 +8,7 @@ from forecastability import (
     DomainError,
     EstimatorConfig,
     ForecastabilityProfile,
+    GaussianProcessSpec,
     InformationSetSpec,
     MissingHorizon,
     ProbeEvaluation,
@@ -15,6 +16,7 @@ from forecastability import (
     estimate_profile,
     fano_bound,
     pinsker_bound,
+    simulate,
 )
 
 LN8 = math.log(8.0)
@@ -70,6 +72,19 @@ class TestProbeEvaluation:
     def test_rejects_indices_that_are_not_int64(self, indices):
         with pytest.raises(ValueError, match="int64"):
             ProbeEvaluation(1, np.zeros(3), indices)
+
+    def test_rejects_a_repeated_index(self):
+        with pytest.raises(ValueError, match="duplicate t_index 5 at horizon 1"):
+            ProbeEvaluation(1, np.zeros(3), [5, 5, 6])
+
+    @pytest.mark.parametrize("horizon", [1.5, math.nan])
+    def test_rejects_a_horizon_that_is_not_an_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            ProbeEvaluation(horizon, np.zeros(3), [5, 6, 7])
+
+    def test_integral_horizon_is_stored_as_int(self):
+        probe = ProbeEvaluation(np.float64(2.0), np.zeros(2), [5, 6])
+        assert type(probe.horizon) is int and probe.horizon == 2
 
 
 class TestDecomposeLoss:
@@ -143,7 +158,7 @@ class TestDecomposeLoss:
         fhat = ForecastabilityProfile(
             horizons=(1,), values_nats=(-0.002,), source="estimated"
         )
-        probe = ProbeEvaluation(1, np.zeros(64), np.arange(64))
+        probe = ProbeEvaluation(1, np.zeros(64), np.arange(1, 65))
         dec = decompose_loss(probe, white_noise, fhat, config)
         assert dec.low_forecastability
         # denominator floored at 1e-6, not the raw negative estimate
@@ -164,6 +179,41 @@ class TestDecomposeLoss:
         probe = ProbeEvaluation(1, np.zeros(40), np.arange(40))
         with pytest.raises(MissingHorizon):
             decompose_loss(probe, white_noise, fhat, config)
+
+    @pytest.mark.parametrize("lags", [1, 3])
+    def test_forecast_origin_before_first_lag_window(self, white_noise, config, lags):
+        h = 2
+        first = h + lags - 1
+        fhat = estimate_profile(white_noise, InformationSetSpec(lags, (h,)), config)
+        early = ProbeEvaluation(h, np.zeros(40), np.arange(first - 1, first + 39))
+        with pytest.raises(ConfigError, match=f"t_index {first - 1} .* = {first}"):
+            decompose_loss(early, white_noise, fhat, config)
+        boundary = ProbeEvaluation(h, np.zeros(40), np.arange(first, first + 40))
+        decompose_loss(boundary, white_noise, fhat, config)
+
+    def test_profile_without_meta_takes_one_lag(self, white_noise, config):
+        fhat = ForecastabilityProfile(
+            horizons=(1,), values_nats=(0.2,), source="analytic"
+        )
+        probe = ProbeEvaluation(1, np.zeros(40), np.arange(40))
+        with pytest.raises(ConfigError, match="t_index 0 .* = 1"):
+            decompose_loss(probe, white_noise, fhat, config)
+
+    @staticmethod
+    def _loss_near_float_range(log_densities, config):
+        series = simulate(GaussianProcessSpec.ar1(0.9), 300, seed=1)
+        fhat = estimate_profile(series, InformationSetSpec(1, (1,)), config)
+        probe = ProbeEvaluation(1, log_densities, np.arange(1, 31))
+        return decompose_loss(probe, series, fhat, config).expected_loss_nats
+
+    def test_cancelling_huge_log_densities(self, config):
+        ld = np.resize([1.5e308, -1.5e308], 30)
+        assert self._loss_near_float_range(ld, config) == 0.0
+
+    def test_huge_log_densities_do_not_overflow_the_mean(self, config):
+        # the ratio is not checked: its true value is beyond the float range
+        loss = self._loss_near_float_range(np.full(30, -1.7e308), config)
+        assert loss == pytest.approx(1.7e308, rel=1e-15)
 
     def test_out_of_range_indices(self, white_noise, config):
         fhat = ForecastabilityProfile(

@@ -1,5 +1,5 @@
 """Fuzzed CSV files through the CLI: every run exits 0, 2 or 3, never with a
-traceback, whatever the file holds."""
+traceback, whatever the file holds, including bytes that are not UTF-8."""
 
 import pytest
 from click.testing import CliRunner
@@ -50,6 +50,17 @@ def _probe_rows(draw):
     return rows
 
 
+@st.composite
+def _not_always_utf8(draw, text):
+    """The UTF-8 bytes of ``text``; in half the files, with a byte inserted
+    that UTF-8 never uses, so the file cannot be decoded."""
+    raw = draw(text).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\xc0"])) + raw[at:]
+    return raw
+
+
 _SERIES = _csv_text(
     st.one_of(
         st.lists(_FINITE, max_size=60),
@@ -75,11 +86,12 @@ def _assert_contract(result):
     )
 
 
-@given(text=_SERIES)
-@example(text="\n".join(["1e308", "-1e308", "3e307", "-7e307", "2e-308"] * 8))
-def test_fuzzed_series_csv(workdir, text):
+@given(raw=_not_always_utf8(_SERIES))
+@example(raw="\n".join(["1e308", "-1e308", "3e307", "-7e307", "2e-308"] * 8).encode())
+@example(raw=b"\xff\xfe1.0\n2.0\n")
+def test_fuzzed_series_csv(workdir, raw):
     data = workdir / "fuzzed.csv"
-    data.write_text(text, encoding="utf-8")
+    data.write_bytes(raw)
     _assert_contract(CliRunner().invoke(main, ["profile", str(data), "--horizons", "1..3"]))
 
 

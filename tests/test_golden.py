@@ -41,6 +41,8 @@ COMMANDS = [
      "--replicates", "19", "--seed", "2", "--out", "significance.json"],
     ["decompose", "series.csv", "probe.csv", "--lags", str(LAGS),
      "--alphabet", "8", "--seed", "4", "--out", "decompose.csv"],
+    ["decompose", "series.csv", "probe.csv", "--lags", str(LAGS),
+     "--seed", "4", "--out", "decompose.json"],
 ]
 
 DIGESTS = {
@@ -55,6 +57,7 @@ DIGESTS = {
     "analytic_bits.svg.manifest.json": "92b5d4069e2543b608e681a815b6af3fa0db57dfe71c6913add1e9378a6df1a7",
     "decompose.csv": "4503d8bf3dada82b968ced35d3fcef4ebaa6dd239119b2b5e0f844d1795105f5",
     "decompose.csv.manifest.json": "4372dc876f0301382b7c2eac37cfdfc798164afe46a1b1bbef96527f11173250",
+    "decompose.json": "a4286554f643bb44f6d57a2db39c5d024f89dba5223923eb350f63cb85454c91",
     "profile.csv": "78cd5a9ba2f22b1e51d9fdae996267458b22111c4fa44cfee8f6f8166fc4f5ec",
     "profile.csv.manifest.json": "d3697d91743503d0d0ba8f6c31942cedaa37e89da833e00c6ba12dd39aa75077",
     "profile.json": "78b9755065517a96520ab2b6370f9ec80a78a9fd05dbf98dc42b50143e392db8",
