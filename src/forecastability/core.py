@@ -34,9 +34,14 @@ def _frozen_array(values, ndim=1) -> np.ndarray:
 
 
 def _ascending_horizons(horizons) -> tuple[int, ...]:
-    """The horizons as ints; ValueError unless strictly ascending and positive."""
-    horizons = tuple(int(h) for h in horizons)
-    if not horizons or horizons[0] < 1 or any(
+    """The horizons as ints; ValueError unless each is an integer, and they
+    are strictly ascending and positive."""
+    given = tuple(horizons)
+    try:
+        horizons = tuple(int(h) for h in given)
+    except (TypeError, ValueError, OverflowError):
+        horizons = ()
+    if not horizons or horizons != given or horizons[0] < 1 or any(
         b <= a for a, b in zip(horizons, horizons[1:])
     ):
         raise ValueError("horizons must be strictly ascending positive integers")

@@ -134,7 +134,8 @@ def decompose_loss(
 
     Every evaluation index must lie in the series and be at least
     ``horizon + p - 1``, so that each forecast origin has a full window of
-    the profile's p lags (p = 1 for a profile without estimator metadata).
+    the profile's p lags (p = 1 for a profile without estimator metadata),
+    and the probe needs more than ``config.k`` evaluations.
     The marginal entropy is the Kozachenko-Leonenko estimate on the outcomes
     at the probe's evaluation times, in original series units (standardization
     is never applied here; see the module note on units).  The ratio
@@ -156,6 +157,11 @@ def decompose_loss(
         )
     if idx.max() >= len(series):
         raise ConfigError("probe eval_indices fall outside the series")
+    if probe.n_eval <= config.k:
+        raise ConfigError(
+            f"horizon {probe.horizon}: {probe.n_eval} probe rows, but the "
+            f"marginal entropy with k={config.k} needs more than k"
+        )
     outcomes = _jitter(np.asarray(series.values[idx], dtype=float), config.seed)
     marginal_entropy = kl_entropy(outcomes, k=config.k)
     # scaling by a power of two is exact and keeps the sum from overflowing

@@ -19,9 +19,19 @@ the extra lags w given the leading lags z, estimated in the same style
 so all terms share one neighbourhood per point and the dimension-dependent
 biases of the separate windows cancel instead of adding up.
 
-Neighbour search runs on a k-d tree; the tests check its distances and
-counts bit for bit against a brute-force oracle, which pins down the
-strict-inequality counting convention.
+The k-th neighbour distances come from a k-d tree.  The marginal counts
+take one of three exact paths, chosen from the data.  One-dimensional
+points (the y-marginal, the x-marginal at p=1, the budget's z) are counted
+on a sorted copy with ``searchsorted``.  Otherwise the points are sorted by
+radius into 32 bins, and each bin, in ascending order, runs a k-d tree
+k-NN query holding 32 neighbours below the bin's largest radius; this is
+fast when few points lie inside each ball, as in the 13-dimensional (z, w)
+marginal of the budget.  A point that fills all 32 slots is counted again
+by the k-d tree ball query, and once more than half of a bin does, that
+bin's full points and every later bin go to the ball query directly, so a
+dense marginal pays almost nothing for the attempt.  The tests check the
+distances and every count path bit for bit against a brute-force oracle,
+which pins down the strict-inequality counting convention.
 
 Sample points must be pairwise distinct.  Series-level entry points handle
 this the same way every time: they standardize the series to zero mean and
@@ -63,6 +73,11 @@ _LN2 = math.log(2.0)
 
 # tie-breaking jitter amplitude, relative to the sample standard deviation
 _JITTER_SCALE = 1e-10
+
+# the k-NN count path holds this many neighbours per point and queries the
+# points in this many bins of ascending radius
+_SLOTS = 32
+_BINS = 32
 
 # Stirling-series coefficients of -psi'(x) tail in powers of x^-2
 _DIGAMMA_TAIL = (
@@ -167,9 +182,72 @@ def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
 
 def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of points strictly inside the max-norm ball of each point
-    (the centre point itself included in the count)."""
-    return cKDTree(points).query_ball_point(
-        points, np.nextafter(radii, 0.0), p=np.inf,
+    (the centre point itself included in the count); radii must be > 0.
+    The three paths, all exact, are described in the module note."""
+    if points.shape[1] == 1:
+        # the values above a ball are those below the ball of the negated
+        # point, since rounding is symmetric under negation
+        values = points[:, 0]
+        return values.size - _below_ball(values, radii) - _below_ball(-values, radii)
+    tree = cKDTree(points)
+    slots = min(_SLOTS, len(points))
+    counts = np.empty(len(points), dtype=np.intp)
+    order = np.argsort(radii, kind="stable")
+    bins = np.array_split(order, min(_BINS, len(points)))
+    ball = []
+    for b, members in enumerate(bins):
+        counts[members] = _bounded_counts(tree, points[members], radii[members], slots)
+        full = members[counts[members] == slots]
+        ball.append(full)
+        if 2 * full.size > members.size:
+            ball.extend(bins[b + 1:])
+            break
+    ball = np.concatenate(ball)
+    if ball.size:
+        counts[ball] = _ball_counts(tree, points[ball], radii[ball])
+    return counts
+
+
+def _below_ball(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Number of values below v_i that lie outside the ball of radius r_i.
+
+    Rounding is monotone, so ``|v_j - v_i| < r_i`` holds on one contiguous
+    run of the sorted values around v_i.  Every value below the rounded
+    ``v_i - r_i`` fails the test: no float lies strictly between a number
+    and its rounding, so such a value is at most v_i - r_i exactly.  The
+    run's lower edge therefore starts at ``searchsorted`` of the rounded
+    bound and only moves up, one run of equal values at a time, while its
+    value fails the test.  That can take many steps: when |v_i| is near
+    r_i the difference rounds by ulp(r_i), which can span many values
+    near 0, so a window widened by a fixed margin would not do.
+    """
+    ordered = np.sort(values)
+    edge = np.searchsorted(ordered, values - radii)
+    # the edge stops at the latest at the first copy of v_i, which passes
+    todo = np.arange(values.size)
+    while todo.size:
+        at = edge[todo]
+        outside = ~(np.abs(ordered[at] - values[todo]) < radii[todo])
+        todo = todo[outside]
+        edge[todo] = np.searchsorted(ordered, ordered[at[outside]], "right")
+    return edge
+
+
+def _bounded_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray,
+                    slots: int) -> np.ndarray:
+    """Points of ``tree`` strictly inside each centre's ball, counted among
+    its ``slots`` nearest neighbours; a count of ``slots`` may be short."""
+    bound = np.nextafter(radii.max(), np.inf)
+    dists, _ = tree.query(centres, k=slots, p=np.inf,
+                          distance_upper_bound=bound, workers=-1)
+    dists = dists.reshape(len(centres), slots)
+    return np.count_nonzero(dists <= np.nextafter(radii, 0.0)[:, None], axis=1)
+
+
+def _ball_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Points of ``tree`` strictly inside each centre's ball, from the ball query."""
+    return tree.query_ball_point(
+        centres, np.nextafter(radii, 0.0), p=np.inf,
         workers=-1, return_length=True,
     )
 

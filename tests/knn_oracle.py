@@ -1,9 +1,9 @@
-"""Brute-force max-norm neighbour search, the oracle for the k-d tree kernel.
+"""Brute-force max-norm neighbour search, the oracle for the neighbour kernels.
 
 Every pairwise distance is formed explicitly, so there is no search
 structure that could be wrong.  Counting uses the strict inequality
 ``distance < radius`` of Kraskov, Stoegbauer & Grassberger (PRE 69, 066138,
-2004); the tree kernel must reproduce these arrays exactly.
+2004); every path of the kernels must reproduce these arrays exactly.
 """
 
 import numpy as np
@@ -38,7 +38,7 @@ def counts_within(points, radii):
 
 
 def kernel_calls_match_oracle(monkeypatch, estimate):
-    """Run ``estimate()`` with the tree kernels checked against the oracle.
+    """Run ``estimate()`` with the neighbour kernels checked against the oracle.
 
     Asserts that every eps array and every count array the estimator
     computed equals the oracle's on the same input.  Returns the estimate

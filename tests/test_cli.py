@@ -567,6 +567,14 @@ class TestDecomposeCommand:
         result = runner.invoke(main, ["decompose", str(data), str(probe), "--lags", "1"])
         assert "duplicate t_index 1 at horizon 1" in assert_contract_exit(result, 2)
 
+    def test_fewer_probe_rows_than_k_exit_2(self, runner, tmp_path):
+        data = self._short_ar1(tmp_path, runner)
+        probe = tmp_path / "probe.csv"
+        probe.write_text("t_index,horizon,log_density\n10,1,-1.5\n11,1,-1.5\n")
+        result = runner.invoke(main, ["decompose", str(data), str(probe)])
+        message = assert_contract_exit(result, 2)
+        assert "horizon 1: 2 probe rows" in message and "k=5" in message
+
     @pytest.mark.parametrize("lags", [1, 3])
     @pytest.mark.parametrize("early", [False, True])
     def test_forecast_origin_before_first_lag_window(self, runner, tmp_path, lags, early):

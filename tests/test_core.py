@@ -56,6 +56,16 @@ class TestInformationSetSpec:
         with pytest.raises(ValueError):
             InformationSetSpec(lag_order=p, horizons=hs)
 
+    @pytest.mark.parametrize("hs", [(1.5, 2.7), (1, 2.5), (math.nan,), (math.inf,)])
+    def test_rejects_horizons_that_are_not_integers(self, hs):
+        with pytest.raises(ValueError, match="integers"):
+            InformationSetSpec(lag_order=1, horizons=hs)
+
+    def test_integral_horizons_are_stored_as_int(self):
+        spec = InformationSetSpec(lag_order=1, horizons=(1.0, np.int64(3)))
+        assert spec.horizons == (1, 3)
+        assert all(type(h) is int for h in spec.horizons)
+
 
 class TestLagEmbed:
     def test_p1_h1(self):
@@ -163,6 +173,12 @@ class TestForecastabilityProfile:
         with pytest.raises(ValueError):
             ForecastabilityProfile(
                 horizons=(1, 2), values_nats=(0.1,), source="estimated"
+            )
+
+    def test_rejects_a_horizon_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="integers"):
+            ForecastabilityProfile(
+                horizons=(1.9,), values_nats=(0.1,), source="estimated"
             )
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import digamma as scipy_digamma
 
 from forecastability import (
@@ -20,8 +23,9 @@ from forecastability import (
     simulate,
     GaussianProcessSpec,
 )
+from forecastability import estimators
 from forecastability.estimators import _ksg_conditional_mutual_information
-from knn_oracle import kernel_calls_match_oracle
+from knn_oracle import counts_within, kernel_calls_match_oracle
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 EULER_GAMMA = 0.5772156649015329
@@ -298,3 +302,82 @@ class TestFiniteWindowBudget:
         )
         assert math.isfinite(value)
         assert called == ["eps", "count", "count", "count"]
+
+
+_R = 1.5
+# value pools whose max-norm distances land exactly on the radii or one ulp
+# either side: grids, one-ulp neighbours of a grid, a few values repeated
+# in runs, values near 0 under large radii, and values near +-r with r = _R
+_POOLS = {
+    "grid": [0.5 * v for v in range(-3, 4)],
+    "near_tie": [u for v in range(-3, 4) for u in (
+        0.1 * v, np.nextafter(0.1 * v, np.inf), np.nextafter(0.1 * v, -np.inf))],
+    "runs": [-1.25, 0.3, 2.0],
+    "near_zero": [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.0 ** -60, -(2.0 ** -60),
+                  1e-17, -1e-17],
+    "near_r": [_R, -_R, np.nextafter(_R, 0.0), np.nextafter(_R, 3.0), -np.nextafter(_R, 0.0),
+               0.0, 2.0 ** -60, -(2.0 ** -60), 1e-17, 0.75, 2.0 * _R],
+}
+_RADII = [_R, np.nextafter(_R, 0.0), np.nextafter(_R, 3.0), 1.0, 1e10, 2.0 ** -52]
+
+
+@st.composite
+def _count_inputs(draw):
+    """Points from one pool; each radius is the distance to a drawn partner
+    point, nudged by at most one ulp, or one of ``_RADII`` (always > 0)."""
+    n = draw(st.integers(1, 70))
+    d = draw(st.integers(1, 3))
+    pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+    points = draw(hnp.arrays(float, (n, d), elements=st.sampled_from(pool)))
+    if d > 1 and draw(st.booleans()):
+        points[:, 0] = points[0, 0]  # one marginal tied throughout
+    partner = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))
+    radii = np.abs(points - points[partner]).max(axis=1)
+    nudge = draw(hnp.arrays(np.int8, n, elements=st.integers(-1, 1)))
+    radii = np.where(nudge == 0, radii, np.nextafter(radii, np.copysign(np.inf, nudge)))
+    fixed = draw(hnp.arrays(float, n, elements=st.sampled_from(_RADII)))
+    use_fixed = draw(hnp.arrays(bool, n)) | ~(radii > 0.0)
+    return points, np.where(use_fixed, fixed, radii)
+
+
+class TestCountKernel:
+    @given(_count_inputs())
+    # a centre at +r sees every value within ulp(r)/2 of 0 at distance r
+    @example((np.array([[1.0], [0.0], [2.0 ** -60], [-(2.0 ** -60)], [1e-300]]),
+              np.array([1.0, 1.0, 1.0, 1.0, 1.0])))
+    def test_counts_match_the_oracle(self, inputs):
+        points, radii = inputs
+        assert np.array_equal(estimators._counts_within(points, radii),
+                              counts_within(points, radii))
+
+    def test_bounded_path_fallback_and_hand_over_all_run(self, monkeypatch):
+        g = np.random.default_rng(3)
+        n = 40 * estimators._BINS
+        points = g.uniform(0.0, 1.0, (n, 2))
+        # a clump whose members hold more than the k-NN slots at any radius
+        points[:60] = 0.5 + g.uniform(0.0, 1e-6, (60, 2))
+        radii = g.permutation(np.geomspace(1e-4, 2.0, n))
+        bounded, ball = [], []
+
+        def record(log, kernel):
+            def wrapper(*args):
+                out = kernel(*args)
+                log.append(out)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(estimators, "_bounded_counts",
+                            record(bounded, estimators._bounded_counts))
+        monkeypatch.setattr(estimators, "_ball_counts",
+                            record(ball, estimators._ball_counts))
+        _, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: estimators._counts_within(points, radii))
+        assert called == ["count"]
+        full = [int(np.sum(out == estimators._SLOTS)) for out in bounded]
+        # some bins send a few points to the ball query, the last bounded bin
+        # more than half of its points, and the bins after it go unqueried
+        assert any(0 < f <= out.size // 2 for f, out in zip(full, bounded))
+        assert 2 * full[-1] > bounded[-1].size
+        assert len(bounded) < estimators._BINS
+        queried = sum(out.size for out in bounded)
+        assert len(ball) == 1 and ball[0].size == sum(full) + n - queried
