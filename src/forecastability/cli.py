@@ -10,8 +10,10 @@ Conventions shared by every command:
   anything else CSV); without ``--out`` the CSV goes to stdout.
 * every output file is accompanied by a run manifest (``<file>.manifest.json``
   sidecar, or embedded under ``"manifest"`` in JSON output) recording the
-  resolved configuration, input digests and seed; re-running reproduces the
-  outputs byte-identically apart from the manifest timestamp.
+  input digests, the seed at the top level, and under ``config`` every
+  argument and flag under its parameter name (``--Phi`` => ``Phi``,
+  ``--burn-in`` => ``burn_in``) in ``--help`` order; re-running reproduces
+  the outputs byte-identically apart from the manifest timestamp.
 * all randomness flows from ``--seed``: it seeds the estimator jitter
   directly, and permutation replicate b shuffles with ``seed XOR b``.
 * exit codes: 0 success, 2 usage or contract violation, 3 insufficient data
@@ -103,6 +105,26 @@ class RunManifest:
         )
 
 
+def _command_manifest() -> RunManifest:
+    """The running command's manifest, read from its click context.
+
+    ``config`` holds every argument and flag under its parameter name, in
+    declaration (``--help``) order, except ``--seed``, which goes to the top
+    level; a command that takes ``--k`` records the fixed estimator settings
+    in its place.  The arguments are the input files.
+    """
+    ctx = click.get_current_context()
+    config = {}
+    for param in ctx.command.params:
+        if param.name != "seed":
+            config[param.name] = ctx.params[param.name]
+        elif "k" in ctx.params:
+            config.update(_FIXED_ESTIMATOR)
+    inputs = [ctx.params[param.name] for param in ctx.command.params
+              if isinstance(param, click.Argument)]
+    return RunManifest.build(ctx.info_name, config, inputs, ctx.params.get("seed"))
+
+
 def _die(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -127,9 +149,9 @@ class _ContractGroup(click.Group):
 
 
 def _at_least(minimum: int):
-    """A flag callback that rejects values below ``minimum``."""
+    """A flag callback that rejects values below ``minimum`` (None passes)."""
     def check(ctx, param, value):
-        if value < minimum:
+        if value is not None and value < minimum:
             raise ParseError(f"{param.opts[0]} must be >= {minimum}, got {value}")
         return value
     return check
@@ -274,22 +296,22 @@ def _write_output(path: str, text: str, manifest: RunManifest | None = None):
             raise ParseError(f"cannot write {file}: {exc}") from None
 
 
-def emit_table(
-    columns: list[str],
-    rows: list[dict],
-    manifest: RunManifest,
-    out: str | None,
-):
-    """Write a per-horizon table as CSV (stdout or file) or JSON (by extension)."""
+def emit_table(rows: list[dict], manifest: RunManifest, out: str | None):
+    """Write a per-horizon table as CSV (stdout or file) or JSON (by extension).
+
+    The columns are the keys of the first row, in order; every row must hold
+    each of them.
+    """
+    columns = list(rows[0])
     if out is not None and out.endswith(".json"):
         doc = {
             "manifest": asdict(manifest),
-            "rows": [{c: _json_value(r.get(c)) for c in columns} for r in rows],
+            "rows": [{c: _json_value(r[c]) for c in columns} for r in rows],
         }
         _write_output(out, json.dumps(doc, indent=2) + "\n")
         return
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(r.get(c)) for c in columns) for r in rows)
+    lines.extend(",".join(_fmt(r[c]) for c in columns) for r in rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)
@@ -303,13 +325,11 @@ def _emit_profile(profile: ForecastabilityProfile, units: str, manifest: RunMani
     one adds ``n_effective`` and ``gap``, with NaN (an empty cell) at gaps."""
     value_col = f"f_{units}"
     shown = [v / _LN2 if units == "bits" else v for v in profile.values_nats]
-    columns = ["horizon", value_col]
     rows = [{"horizon": h, value_col: v} for h, v in zip(profile.horizons, shown)]
     if profile.estimator_meta is not None:
-        columns += ["n_effective", "gap"]
         for row, n_eff in zip(rows, profile.estimator_meta.n_effective):
             row.update(n_effective=n_eff, gap=math.isnan(row[value_col]))
-    emit_table(columns, rows, manifest, out)
+    emit_table(rows, manifest, out)
     if plot:
         svg = render_profile_svg(
             list(profile.horizons), label, shown, f"forecastability ({units})", title
@@ -331,7 +351,7 @@ def _process_options(command):
     for option in reversed((
         click.option("--model", type=click.Choice(["ar1", "seasonal"]), required=True),
         click.option("--phi", type=float, required=True, help="First-lag coefficient."),
-        click.option("--Phi", "big_phi", type=float, default=None,
+        click.option("--Phi", "Phi", type=float, default=None,
                      help="Seasonal-lag coefficient (seasonal model)."),
         click.option("--s", type=int, default=None,
                      help="Seasonal period (seasonal model)."),
@@ -341,7 +361,7 @@ def _process_options(command):
 
 
 _series_argument = click.argument(
-    "input_csv", type=click.Path(exists=True, dir_okay=False)
+    "input", metavar="INPUT_CSV", type=click.Path(exists=True, dir_okay=False)
 )
 _lags_option = click.option(
     "--lags", type=int, default=1, show_default=True, callback=_at_least(1),
@@ -373,13 +393,15 @@ _plot_option = click.option(
 )
 
 
-def _gaussian_spec(model: str, phi: float, big_phi: float | None, s: int | None,
+def _gaussian_spec(model: str, phi: float, Phi: float | None, s: int | None,
                    sigma2: float) -> GaussianProcessSpec:
     if model == "ar1":
+        if Phi is not None or s is not None:
+            raise ParseError("ar1 model takes neither --Phi nor --s")
         return GaussianProcessSpec.ar1(phi, innovation_variance=sigma2)
-    if big_phi is None or s is None:
+    if Phi is None or s is None:
         raise ParseError("seasonal model requires --Phi and --s")
-    return GaussianProcessSpec.seasonal_ar(phi, big_phi, s, innovation_variance=sigma2)
+    return GaussianProcessSpec.seasonal_ar(phi, Phi, s, innovation_variance=sigma2)
 
 
 @main.command("simulate")
@@ -392,7 +414,7 @@ def _gaussian_spec(model: str, phi: float, big_phi: float | None, s: int | None,
 @click.option("--burn-in", type=int, default=1000, show_default=True,
               callback=_at_least(0))
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
+def cmd_simulate(model, phi, Phi, s, sigma2, n, seed, burn_in, out):
     """Simulate a Gaussian AR path and write it as a value-column CSV.
 
     Values are written with full round-trip precision so that downstream
@@ -401,22 +423,13 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
     # the kept path and its burn-in are drawn as one array
     _at_most("--n", n, _MAX_FLOAT_ARRAY)
     _at_most("--burn-in", burn_in, _MAX_FLOAT_ARRAY - n)
-    spec = _gaussian_spec(model, phi, big_phi, s, sigma2)
+    spec = _gaussian_spec(model, phi, Phi, s, sigma2)
     if model == "seasonal":  # the filter has s + 2 coefficients
         _at_most("--s", s, _MAX_FLOAT_ARRAY - 2)
     series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
     lines = ["value"]
     lines.extend(repr(float(v)) for v in series.values)
-    manifest = RunManifest.build(
-        command="simulate",
-        config={
-            "model": model, "phi": phi, "Phi": big_phi, "s": s, "sigma2": sigma2,
-            "n": n, "burn_in": burn_in, "out": out,
-        },
-        inputs=[],
-        seed=seed,
-    )
-    _write_output(out, "\n".join(lines) + "\n", manifest)
+    _write_output(out, "\n".join(lines) + "\n", _command_manifest())
 
 
 @main.command("analytic")
@@ -426,9 +439,9 @@ def cmd_simulate(model, phi, big_phi, s, sigma2, n, seed, burn_in, out):
 @_units_option
 @_out_option
 @_plot_option
-def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
+def cmd_analytic(model, phi, Phi, s, lags, horizons, units, out, plot):
     """Exact Gaussian forecastability profile for an AR(1) or seasonal AR."""
-    _gaussian_spec(model, phi, big_phi, s, 1.0)
+    _gaussian_spec(model, phi, Phi, s, 1.0)
     if model == "ar1":  # Markov: F(h; p) = F(h; 1) for every window p
         profile = ar1_profile(phi, horizons)
     else:
@@ -437,18 +450,9 @@ def cmd_analytic(model, phi, big_phi, s, lags, horizons, units, out, plot):
         _at_most("--s", s, sys.float_info.max)
         _at_most("--lags", lags, _MAX_FLOAT_ARRAY - 1)
         _at_most("--horizons", horizons[-1], _MAX_FLOAT_ARRAY - lags)
-        rho = seasonal_ar_acf(phi, big_phi, s, horizons[-1] + lags - 1)
+        rho = seasonal_ar_acf(phi, Phi, s, horizons[-1] + lags - 1)
         profile = gaussian_profile_from_acf(rho, lags, horizons)
-    manifest = RunManifest.build(
-        command="analytic",
-        config={
-            "model": model, "phi": phi, "Phi": big_phi, "s": s, "lags": lags,
-            "horizons": list(horizons), "units": units, "out": out, "plot": plot,
-        },
-        inputs=[],
-        seed=None,
-    )
-    _emit_profile(profile, units, manifest, out, plot, model,
+    _emit_profile(profile, units, _command_manifest(), out, plot, model,
                   title=f"analytic profile ({model})")
 
 
@@ -470,23 +474,15 @@ def _warn_gaps(requested, with_data):
 @_units_option
 @_out_option
 @_plot_option
-def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
+def cmd_profile(input, lags, horizons, k, seed, units, out, plot):
     """Estimate the forecastability profile of a series from CSV."""
-    series = read_series_csv(input_csv)
+    series = read_series_csv(input)
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     profile = estimate_profile(series, spec, config)
     _warn_gaps(horizons, profile.horizons_with_data())
-    manifest = RunManifest.build(
-        command="profile",
-        config={
-            "input": input_csv, "lags": lags, "horizons": list(horizons), "k": k,
-            **_FIXED_ESTIMATOR, "units": units, "out": out, "plot": plot,
-        },
-        inputs=[input_csv],
-        seed=seed,
-    )
-    _emit_profile(profile, units, manifest, out, plot, series.name or "profile",
+    _emit_profile(profile, units, _command_manifest(), out, plot,
+                  series.name or "profile",
                   title=f"estimated profile: {series.name}")
 
 
@@ -498,26 +494,17 @@ def cmd_profile(input_csv, lags, horizons, k, seed, units, out, plot):
 @click.option("--replicates", type=int, required=True, help="Permutation count B.")
 @_seed_option
 @_out_option
-def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
+def cmd_significance(input, lags, horizons, k, replicates, seed, out):
     """Permutation test of estimated forecastability at each horizon.
 
     Reports the observed statistic (nats), the add-one p-value, and the
     50/95/99% quantiles of the permutation null.
     """
-    series = read_series_csv(input_csv)
+    series = read_series_csv(input)
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     results = permutation_test(series, spec, config, replicates=replicates, seed=seed)
     _warn_gaps(horizons, [r.horizon for r in results])
-    manifest = RunManifest.build(
-        command="significance",
-        config={
-            "input": input_csv, "lags": lags, "horizons": list(horizons), "k": k,
-            "replicates": replicates, **_FIXED_ESTIMATOR, "out": out,
-        },
-        inputs=[input_csv],
-        seed=seed,
-    )
     rows = []
     for r in results:
         null = np.array(r.null_samples)
@@ -532,23 +519,21 @@ def cmd_significance(input_csv, lags, horizons, k, replicates, seed, out):
                 "replicates": r.replicates,
             }
         )
-    emit_table(
-        ["horizon", "observed_nats", "p_value", "null_q50", "null_q95",
-         "null_q99", "replicates"],
-        rows, manifest, out,
-    )
+    emit_table(rows, _command_manifest(), out)
 
 
 @main.command("decompose")
-@click.argument("series_csv", type=click.Path(exists=True, dir_okay=False))
-@click.argument("probe_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("series", metavar="SERIES_CSV",
+                type=click.Path(exists=True, dir_okay=False))
+@click.argument("probe", metavar="PROBE_CSV",
+                type=click.Path(exists=True, dir_okay=False))
 @_lags_option
 @_k_option
-@_seed_option
-@click.option("--alphabet", type=int, default=None,
+@click.option("--alphabet", type=int, default=None, callback=_at_least(2),
               help="Alphabet size M; adds the misclassification floor column.")
+@_seed_option
 @_out_option
-def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
+def cmd_decompose(series, probe, lags, k, alphabet, seed, out):
     """Decompose a probe's realised log loss against the estimated profile.
 
     The probe CSV columns are (t_index, horizon, log_density): the log
@@ -556,36 +541,21 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
     assigned to the realised outcome at series row t_index.  All values are
     reported in nats.
     """
-    series = read_series_csv(series_csv)
-    probes = read_probe_csv(probe_csv)
+    series = read_series_csv(series)
+    probes = read_probe_csv(probe)
     horizons = tuple(sorted(probes))
     spec = InformationSetSpec(lag_order=lags, horizons=horizons)
     config = EstimatorConfig(k=k, seed=seed)
     fhat = estimate_profile(series, spec, config)
     live = fhat.horizons_with_data()
     _warn_gaps(horizons, live)
-    manifest = RunManifest.build(
-        command="decompose",
-        config={
-            "series": series_csv, "probe": probe_csv, "lags": lags, "k": k,
-            "alphabet": alphabet, **_FIXED_ESTIMATOR, "out": out,
-        },
-        inputs=[series_csv, probe_csv],
-        seed=seed,
-    )
-    columns = [
-        "horizon", "n_eval", "expected_loss_nats", "marginal_entropy_nats",
-        "forecastability_nats", "exploitability_nats", "exploitation_ratio",
-        "approximation_gap_nats", "low_forecastability", "pinsker_tv_bound",
-    ]
-    if alphabet is not None:
-        columns += ["fano_min_error", "fano_vacuous"]
     rows = []
     for h in live:
         dec = decompose_loss(probes[h], series, fhat, config)
         row = {
-            **asdict(dec),
+            "horizon": h,
             "n_eval": probes[h].n_eval,
+            **asdict(dec),
             "pinsker_tv_bound": pinsker_bound(
                 max(dec.forecastability_nats, 0.0)
             ).pinsker_tv_bound,
@@ -597,7 +567,7 @@ def cmd_decompose(series_csv, probe_csv, lags, k, seed, alphabet, out):
             row["fano_min_error"] = fano.fano_min_error
             row["fano_vacuous"] = fano.fano_vacuous
         rows.append(row)
-    emit_table(columns, rows, manifest, out)
+    emit_table(rows, _command_manifest(), out)
 
 
 if __name__ == "__main__":

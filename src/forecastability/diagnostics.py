@@ -156,7 +156,10 @@ def decompose_loss(
             f"lags - 1 = {first}, so its forecast origin has no full lag window"
         )
     if idx.max() >= len(series):
-        raise ConfigError("probe eval_indices fall outside the series")
+        raise ConfigError(
+            f"horizon {probe.horizon}: t_index {idx.max()} is beyond the last "
+            f"series row {len(series) - 1}"
+        )
     if probe.n_eval <= config.k:
         raise ConfigError(
             f"horizon {probe.horizon}: {probe.n_eval} probe rows, but the "

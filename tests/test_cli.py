@@ -19,6 +19,7 @@ from forecastability import (
     estimate_profile,
     simulate,
 )
+from forecastability import cli
 from forecastability.cli import main, parse_horizons, read_probe_csv, read_series_csv
 
 LN2 = math.log(2.0)
@@ -79,6 +80,19 @@ def test_seed_below_zero_exit_2(runner, tmp_path, command):
     }[command]
     result = runner.invoke(main, [command, *args, "--seed", "-1"])
     assert assert_contract_exit(result, 2) == "error: --seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytic"])
+@pytest.mark.parametrize("flags", [["--Phi", "0.8"], ["--s", "12"],
+                                   ["--Phi", "0.8", "--s", "12"]])
+def test_seasonal_flags_with_ar1_exit_2(runner, tmp_path, command, flags):
+    out = tmp_path / "x.csv"
+    args = {"simulate": ["--n", "10"], "analytic": ["--horizons", "1"]}[command]
+    result = runner.invoke(main, [command, "--model", "ar1", "--phi", "0.5", *flags,
+                                  *args, "--out", str(out)])
+    message = assert_contract_exit(result, 2)
+    assert message == "error: ar1 model takes neither --Phi nor --s"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,first", [
@@ -575,6 +589,20 @@ class TestDecomposeCommand:
         message = assert_contract_exit(result, 2)
         assert "horizon 1: 2 probe rows" in message and "k=5" in message
 
+    def test_alphabet_below_two_exit_2_before_estimating(self, runner, tmp_path,
+                                                          monkeypatch):
+        data = self._short_ar1(tmp_path, runner)
+        probe = tmp_path / "probe.csv"
+        probe.write_text("".join(f"{t},1,-1.5\n" for t in range(10, 60)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the profile was estimated before the flag check")
+
+        monkeypatch.setattr(cli, "estimate_profile", never)
+        result = runner.invoke(main, ["decompose", str(data), str(probe),
+                                      "--alphabet", "1"])
+        assert assert_contract_exit(result, 2) == "error: --alphabet must be >= 2, got 1"
+
     @pytest.mark.parametrize("lags", [1, 3])
     @pytest.mark.parametrize("early", [False, True])
     def test_forecast_origin_before_first_lag_window(self, runner, tmp_path, lags, early):
@@ -636,6 +664,52 @@ class TestManifest:
         m_a.pop("timestamp"), m_b.pop("timestamp")
         m_a["config"].pop("out"), m_b["config"].pop("out")
         assert m_a == m_b
+
+    ARGS = {
+        "simulate": ["--model", "ar1", "--phi", "0.5", "--n", "10"],
+        "analytic": ["--model", "ar1", "--phi", "0.5", "--horizons", "1"],
+        "profile": ["s.csv", "--horizons", "1"],
+        "significance": ["s.csv", "--horizons", "1", "--replicates", "19"],
+        "decompose": ["s.csv", "probe.csv"],
+    }
+
+    @staticmethod
+    def _write_inputs(directory):
+        series = simulate(GaussianProcessSpec.ar1(0.5), 200, seed=1)
+        (directory / "s.csv").write_text(
+            "".join(f"{float(v)!r}\n" for v in series.values)
+        )
+        (directory / "probe.csv").write_text(
+            "".join(f"{t},1,-1.0\n" for t in range(10, 30))
+        )
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_config_records_every_parameter(self, runner, tmp_path, monkeypatch,
+                                            command):
+        monkeypatch.chdir(tmp_path)
+        self._write_inputs(tmp_path)
+        run_ok(runner, [command, *self.ARGS[command], "--out", "x.csv"])
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        expected = {p.name for p in main.commands[command].params} - {"seed"}
+        if command in ("profile", "significance", "decompose"):
+            expected |= {"jitter_scale", "standardize"}
+        assert set(manifest["config"]) == expected
+        assert manifest["seed"] == (None if command == "analytic" else 0)
+
+    def test_config_order_does_not_follow_the_command_line(self, runner, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self._write_inputs(tmp_path)
+        run_ok(runner, ["profile", "s.csv", "--lags", "2", "--horizons", "1,3",
+                        "--k", "4", "--seed", "5", "--units", "bits", "--out", "a.csv"])
+        run_ok(runner, ["profile", "--out", "b.csv", "--units", "bits", "--seed", "5",
+                        "--k", "4", "--horizons", "1,3", "--lags", "2", "s.csv"])
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            doc = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            doc["timestamp"] = doc["config"]["out"] = None
+            texts.append(json.dumps(doc, indent=2))
+        assert texts[0] == texts[1]
 
 
 class TestSeasonalShapeEndToEnd:

@@ -219,10 +219,10 @@ class TestDecomposeLoss:
         fhat = ForecastabilityProfile(
             horizons=(1,), values_nats=(0.2,), source="estimated"
         )
-        probe = ProbeEvaluation(
-            1, np.zeros(40), np.arange(len(white_noise) - 20, len(white_noise) + 20)
-        )
-        with pytest.raises(ConfigError):
+        n = len(white_noise)
+        probe = ProbeEvaluation(1, np.zeros(40), np.arange(n - 20, n + 20))
+        message = f"horizon 1: t_index {n + 19} is beyond the last series row {n - 1}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             decompose_loss(probe, white_noise, fhat, config)
 
 
