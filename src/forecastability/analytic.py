@@ -32,50 +32,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianProcessSpec:
-    """A stationary Gaussian AR process description.
+    """A stationary Gaussian multiplicative seasonal AR process,
+    ``(1 - phi*B)(1 - Phi*B^s) y = e`` with ``Var(e) = innovation_variance``,
+    that is ``y[t] = phi*y[t-1] + Phi*y[t-s] - phi*Phi*y[t-s-1] + e[t]``.
 
-    kind is ``"ar1"`` (phi) or ``"seasonal_ar"`` (phi, Phi, s) for the
-    multiplicative model ``y[t] = phi*y[t-1] + Phi*y[t-s] - phi*Phi*y[t-s-1] + e[t]``.
-    Constructing one is the package's single check that the parameters
-    describe a stationary process.  Profiles of other processes go through
-    ``gaussian_profile_from_acf``.
+    AR(1) is the member with ``Phi = 0``.  Constructing one is the package's
+    single check that the parameters describe a stationary process.  Profiles
+    of other processes go through ``gaussian_profile_from_acf``.
     """
 
-    kind: str
-    phi: float | None = None
-    Phi: float | None = None
-    s: int | None = None
+    phi: float
+    Phi: float = 0.0
+    s: int = 1
     innovation_variance: float = 1.0
 
     def __post_init__(self):
         # written as "not inside" so that NaN parameters are rejected too
         if not 0 < self.innovation_variance < math.inf:
             raise DomainError("innovation_variance must be positive and finite")
-        if self.kind == "ar1":
-            if self.phi is None or not abs(self.phi) < 1:
-                raise DomainError("ar1 requires |phi| < 1")
-        elif self.kind == "seasonal_ar":
-            if self.phi is None or self.Phi is None or self.s is None:
-                raise DomainError("seasonal_ar requires phi, Phi and s")
-            if not (abs(self.phi) < 1 and abs(self.Phi) < 1):
-                raise DomainError("seasonal_ar requires |phi| < 1 and |Phi| < 1")
-            if self.s < 1:
-                raise DomainError("seasonal period s must be >= 1")
-        else:
-            raise DomainError(f"unknown process kind {self.kind!r}")
+        if not (abs(self.phi) < 1 and abs(self.Phi) < 1):
+            raise DomainError("a stationary process requires |phi| < 1 and |Phi| < 1")
+        if self.s < 1:
+            raise DomainError("seasonal period s must be >= 1")
 
     @classmethod
     def ar1(cls, phi: float, innovation_variance: float = 1.0) -> "GaussianProcessSpec":
-        return cls(kind="ar1", phi=phi, innovation_variance=innovation_variance)
+        return cls(phi, innovation_variance=innovation_variance)
 
     @classmethod
     def seasonal_ar(
         cls, phi: float, Phi: float, s: int, innovation_variance: float = 1.0
     ) -> "GaussianProcessSpec":
-        return cls(
-            kind="seasonal_ar", phi=phi, Phi=Phi, s=s,
-            innovation_variance=innovation_variance,
-        )
+        return cls(phi, Phi, s, innovation_variance)
 
 
 @dataclass(frozen=True)
@@ -203,12 +191,12 @@ def _forward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gaussian_entropy_summary(spec: GaussianProcessSpec) -> GaussianEntropySummary:
     """Marginal entropy, entropy rate and one-step forecastability of an AR(1).
 
-    Only the AR(1) case has the closed-form entropy rate ``0.5*log(2*pi*e*s2)``;
-    other kinds are rejected (their profiles go through the ACF route, which
-    never needs the entropy rate).
+    Only the AR(1) case (``Phi = 0``) has the closed-form entropy rate
+    ``0.5*log(2*pi*e*s2)``; seasonal specs are rejected (their profiles go
+    through the ACF route, which never needs the entropy rate).
     """
-    if spec.kind != "ar1":
-        raise DomainError("entropy summary is only available for ar1 specs")
+    if spec.Phi != 0:
+        raise DomainError("entropy summary is only available for AR(1) specs (Phi = 0)")
     phi, s2 = spec.phi, spec.innovation_variance
     marginal = 0.5 * math.log(2.0 * math.pi * math.e * s2 / (1.0 - phi * phi))
     rate = 0.5 * math.log(2.0 * math.pi * math.e * s2)
@@ -218,10 +206,9 @@ def gaussian_entropy_summary(spec: GaussianProcessSpec) -> GaussianEntropySummar
 def simulate(
     spec: GaussianProcessSpec, n: int, seed: int, burn_in: int = 1000
 ) -> TimeSeries:
-    """Simulate a sample path by running the AR recursion from zero initial
-    conditions, discarding ``burn_in`` transient observations.
-
-    Deterministic in (spec, n, seed, burn_in).
+    """Simulate an unnamed sample path by running the AR recursion from zero
+    initial conditions of ``(1 - phi*B)(1 - Phi*B^s)``, discarding ``burn_in``
+    transient observations.  Deterministic in (spec, n, seed, burn_in).
     """
     from scipy.signal import lfilter  # about 0.5 s to import; only used here
 
@@ -229,17 +216,12 @@ def simulate(
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    if spec.kind == "ar1":
-        poles = np.array([1.0, -spec.phi])
-        name = f"ar1(phi={spec.phi:g})"
-    else:
-        poles = np.zeros(spec.s + 2)
-        poles[0] = 1.0
-        poles[1] = -spec.phi
-        poles[spec.s] += -spec.Phi
-        poles[spec.s + 1] += spec.phi * spec.Phi
-        name = f"seasonal_ar(phi={spec.phi:g}, Phi={spec.Phi:g}, s={spec.s})"
+    poles = np.zeros(spec.s + 2)
+    poles[0] = 1.0
+    poles[1] = -spec.phi
+    poles[spec.s] += -spec.Phi
+    poles[spec.s + 1] += spec.phi * spec.Phi
     rng = np.random.default_rng(seed)
     innovations = rng.standard_normal(n + burn_in) * math.sqrt(spec.innovation_variance)
     path = lfilter([1.0], poles, innovations)[burn_in:]
-    return TimeSeries(values=path, name=name)
+    return TimeSeries(values=path)

@@ -59,7 +59,7 @@ from .diagnostics import (
 )
 from .errors import ForecastabilityError, InsufficientData
 from .estimators import _JITTER_SCALE, EstimatorConfig, estimate_profile
-from .significance import permutation_test
+from .significance import _MIN_REPLICATES, permutation_test
 
 _LN2 = math.log(2.0)
 
@@ -262,8 +262,6 @@ def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -373,6 +371,7 @@ _horizons_option = click.option(
 )
 _k_option = click.option(
     "--k", type=int, default=EstimatorConfig.k, show_default=True,
+    callback=_at_least(1),
     help="Neighbour count of the mutual-information estimator.",
 )
 _seed_option = click.option(
@@ -398,10 +397,10 @@ def _gaussian_spec(model: str, phi: float, Phi: float | None, s: int | None,
     if model == "ar1":
         if Phi is not None or s is not None:
             raise ParseError("ar1 model takes neither --Phi nor --s")
-        return GaussianProcessSpec.ar1(phi, innovation_variance=sigma2)
-    if Phi is None or s is None:
+        Phi, s = 0.0, 1
+    elif Phi is None or s is None:
         raise ParseError("seasonal model requires --Phi and --s")
-    return GaussianProcessSpec.seasonal_ar(phi, Phi, s, innovation_variance=sigma2)
+    return GaussianProcessSpec(phi, Phi, s, sigma2)
 
 
 @main.command("simulate")
@@ -424,8 +423,7 @@ def cmd_simulate(model, phi, Phi, s, sigma2, n, seed, burn_in, out):
     _at_most("--n", n, _MAX_FLOAT_ARRAY)
     _at_most("--burn-in", burn_in, _MAX_FLOAT_ARRAY - n)
     spec = _gaussian_spec(model, phi, Phi, s, sigma2)
-    if model == "seasonal":  # the filter has s + 2 coefficients
-        _at_most("--s", s, _MAX_FLOAT_ARRAY - 2)
+    _at_most("--s", spec.s, _MAX_FLOAT_ARRAY - 2)  # the filter has s + 2 coefficients
     series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
     lines = ["value"]
     lines.extend(repr(float(v)) for v in series.values)
@@ -491,7 +489,8 @@ def cmd_profile(input, lags, horizons, k, seed, units, out, plot):
 @_lags_option
 @_horizons_option
 @_k_option
-@click.option("--replicates", type=int, required=True, help="Permutation count B.")
+@click.option("--replicates", type=int, required=True,
+              callback=_at_least(_MIN_REPLICATES), help="Permutation count B.")
 @_seed_option
 @_out_option
 def cmd_significance(input, lags, horizons, k, replicates, seed, out):

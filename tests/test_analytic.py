@@ -211,6 +211,10 @@ class TestEntropySummary:
         with pytest.raises(DomainError):
             gaussian_entropy_summary(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12))
 
+    def test_seasonal_spec_at_Phi_zero_is_an_ar1(self):
+        summary = gaussian_entropy_summary(GaussianProcessSpec.seasonal_ar(0.5, 0.0, 12))
+        assert summary == gaussian_entropy_summary(GaussianProcessSpec.ar1(0.5))
+
 
 class TestSimulate:
     def test_deterministic(self):
@@ -247,6 +251,13 @@ class TestSimulate:
         b = simulate(GaussianProcessSpec.ar1(0.5, 4.0), 2000, seed=7)
         np.testing.assert_allclose(b.values, 2.0 * a.values, rtol=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, -0.7, 0.95])
+    def test_ar1_matches_two_coefficient_filter(self, phi):
+        n, burn_in = 700, 1000
+        ts = simulate(GaussianProcessSpec.ar1(phi), n, seed=4, burn_in=burn_in)
+        e = np.random.default_rng(4).standard_normal(n + burn_in)
+        np.testing.assert_array_equal(ts.values, lfilter([1.0], [1.0, -phi], e)[burn_in:])
+
     def test_bad_n(self):
         with pytest.raises(ValueError):
             simulate(GaussianProcessSpec.ar1(0.5), 0, seed=0)
@@ -268,6 +279,7 @@ class TestGaussianProcessSpec:
         with pytest.raises(DomainError):
             make()
 
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            GaussianProcessSpec(kind="arma")
+    def test_ar1_is_the_seasonal_model_at_Phi_zero(self):
+        assert GaussianProcessSpec.ar1(0.5, 2.0) == GaussianProcessSpec.seasonal_ar(
+            0.5, 0.0, 1, 2.0
+        )

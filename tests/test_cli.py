@@ -95,16 +95,23 @@ def test_seasonal_flags_with_ar1_exit_2(runner, tmp_path, command, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,first", [
-    (["--lags", "0", "--seed", "-1", "--horizons", "0"], "--lags"),
-    (["--seed", "-1", "--horizons", "0", "--lags", "0"], "--seed"),
-    (["--horizons", "0", "--lags", "0", "--seed", "-1"], "horizons"),
+# decompose reads its one-column series as a probe file too, which would fail
+# on its column count if --k were checked only after the files are read
+@pytest.mark.parametrize("command,flags,first", [
+    ("profile", ["--lags", "0", "--seed", "-1", "--horizons", "0"], "--lags"),
+    ("profile", ["--seed", "-1", "--horizons", "0", "--lags", "0"], "--seed"),
+    ("profile", ["--horizons", "0", "--lags", "0", "--seed", "-1"], "horizons"),
+    ("profile", ["--k", "0", "--lags", "0", "--horizons", "1"], "--k"),
+    ("significance", ["--replicates", "5", "--lags", "0", "--horizons", "1"],
+     "--replicates"),
+    ("decompose", ["--k", "0"], "--k"),
 ])
 def test_first_invalid_flag_reported_in_command_line_order(runner, tmp_path,
-                                                           flags, first):
+                                                           command, flags, first):
     data = tmp_path / "s.csv"
     data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
-    result = runner.invoke(main, ["profile", str(data), *flags])
+    inputs = [str(data)] * (2 if command == "decompose" else 1)
+    result = runner.invoke(main, [command, *inputs, *flags])
     assert first in assert_contract_exit(result, 2)
 
 

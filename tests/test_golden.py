@@ -20,6 +20,8 @@ N, LAGS, PHI = 600, 2, 0.5
 COMMANDS = [
     ["simulate", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
      "--s", "12", "--n", str(N), "--seed", "3", "--out", "series.csv"],
+    ["simulate", "--model", "ar1", "--phi", str(PHI), "--n", str(N), "--seed", "3",
+     "--out", "ar1.csv"],
     ["analytic", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
      "--s", "12", "--lags", str(LAGS), "--horizons", "1..24",
      "--out", "analytic.csv", "--plot", "analytic.svg"],
@@ -28,6 +30,8 @@ COMMANDS = [
     ["analytic", "--model", "seasonal", "--phi", str(PHI), "--Phi", "0.8",
      "--s", "12", "--lags", str(LAGS), "--horizons", "1..24", "--units", "bits",
      "--out", "analytic_bits.csv", "--plot", "analytic_bits.svg"],
+    ["analytic", "--model", "ar1", "--phi", "0.99", "--lags", "3",
+     "--horizons", "1..24", "--out", "analytic_ar1.csv"],
     ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
      "--seed", "1", "--out", "profile.csv", "--plot", "profile.svg"],
     ["profile", "series.csv", "--lags", str(LAGS), "--horizons", "1..24,596",
@@ -51,10 +55,14 @@ DIGESTS = {
     "analytic.stdout": "361275544ce8ded9bed74bb55652afb5d13c1ee679960200e49d3c4c6c70b492",
     "analytic.svg": "9d471f575c5a1a2f765921cd5efbf95283054e46053cdafe2e55429c3d517f34",
     "analytic.svg.manifest.json": "e285b4250c1208f54e6e253736e8a7cdcb0a3c69ae97ed7c38dedf4a5d1b570f",
+    "analytic_ar1.csv": "925ae4b8e47eeccba54328c1f9e839f06479b82f7e8a2a93c030007eb6e5a43e",
+    "analytic_ar1.csv.manifest.json": "e9cb07857ed5f38581cb7ba6860e71a10fa3c892eeadc5a8246e6102d86a5611",
     "analytic_bits.csv": "d31ddf54f74b0147910bd63852d4a5f3c88e868f2cdc704f71237e08b4d838aa",
     "analytic_bits.csv.manifest.json": "92b5d4069e2543b608e681a815b6af3fa0db57dfe71c6913add1e9378a6df1a7",
     "analytic_bits.svg": "49c03500c74dc46c84e626fc84b42bdae0492f283c679e0392859919af4d3bab",
     "analytic_bits.svg.manifest.json": "92b5d4069e2543b608e681a815b6af3fa0db57dfe71c6913add1e9378a6df1a7",
+    "ar1.csv": "84935c5d794092ad15203d4f2bc517d3c6dcc2572281369ed34d5315f77947ac",
+    "ar1.csv.manifest.json": "4b9339a28cf672ec4ac1ccd001058f2db6b94dc44c05f21added0d20f11a0b3f",
     "decompose.csv": "4503d8bf3dada82b968ced35d3fcef4ebaa6dd239119b2b5e0f844d1795105f5",
     "decompose.csv.manifest.json": "4372dc876f0301382b7c2eac37cfdfc798164afe46a1b1bbef96527f11173250",
     "decompose.json": "a4286554f643bb44f6d57a2db39c5d024f89dba5223923eb350f63cb85454c91",
