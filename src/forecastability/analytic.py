@@ -52,8 +52,13 @@ class GaussianProcessSpec:
             raise DomainError("innovation_variance must be positive and finite")
         if not (abs(self.phi) < 1 and abs(self.Phi) < 1):
             raise DomainError("a stationary process requires |phi| < 1 and |Phi| < 1")
-        if self.s < 1:
-            raise DomainError("seasonal period s must be >= 1")
+        try:
+            s = int(self.s)
+        except (TypeError, ValueError, OverflowError):
+            s = 0
+        if s != self.s or s < 1:
+            raise DomainError("seasonal period s must be an integer >= 1")
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def ar1(cls, phi: float, innovation_variance: float = 1.0) -> "GaussianProcessSpec":
@@ -107,7 +112,7 @@ def seasonal_ar_acf(phi: float, Phi: float, s: int, max_lag: int) -> np.ndarray:
     whose last sum obeys ``S(h) = Phi (phi^(h-s) + S(h-s))``.  Time and memory
     are O(max_lag) whatever ``s``, ``phi`` and ``Phi``.
     """
-    GaussianProcessSpec.seasonal_ar(phi, Phi, s)
+    s = GaussianProcessSpec.seasonal_ar(phi, Phi, s).s
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     wrap = 1.0 - Phi * phi ** s

@@ -20,18 +20,23 @@ so all terms share one neighbourhood per point and the dimension-dependent
 biases of the separate windows cancel instead of adding up.
 
 The k-th neighbour distances come from a k-d tree.  The marginal counts
-take one of three exact paths, chosen from the data.  One-dimensional
-points (the y-marginal, the x-marginal at p=1, the budget's z) are counted
-on a sorted copy with ``searchsorted``.  Otherwise the points are sorted by
-radius into 32 bins, and each bin, in ascending order, runs a k-d tree
-k-NN query holding 32 neighbours below the bin's largest radius; this is
-fast when few points lie inside each ball, as in the 13-dimensional (z, w)
-marginal of the budget.  A point that fills all 32 slots is counted again
-by the k-d tree ball query, and once more than half of a bin does, that
-bin's full points and every later bin go to the ball query directly, so a
-dense marginal pays almost nothing for the attempt.  The tests check the
-distances and every count path bit for bit against a brute-force oracle,
-which pins down the strict-inequality counting convention.
+take one of three exact paths, chosen from the dimension.  In one
+dimension (the y-marginal, the x-marginal at p=1, the budget's z) the
+points inside a ball are one run of positions in the sorted values, found
+with ``searchsorted``.  In two dimensions (the x-marginal at p=2, the
+budget's (z, y)) the runs on both coordinates make the ball a rectangle of
+rank pairs, counted by a merge-sort tree over the ranks (Bentley, CACM
+23(4), 1980); no float is compared beyond the two runs.  From three
+dimensions on, the points are sorted by radius into 32 bins, and each bin,
+in ascending order, runs a k-d tree k-NN query holding 32 neighbours below
+the bin's largest radius; this is fast when few points lie inside each
+ball, as in the 13-dimensional (z, w) marginal of the budget.  A point that
+fills all 32 slots is counted again by the k-d tree ball query, and once
+more than half of a bin does, that bin's full points and every later bin go
+to the ball query directly, so a dense marginal pays almost nothing for the
+attempt.  The tests check the distances and every count path bit for bit
+against a brute-force oracle, which pins down the strict-inequality
+counting convention.
 
 Sample points must be pairwise distinct.  Series-level entry points handle
 this the same way every time: they standardize the series to zero mean and
@@ -183,12 +188,14 @@ def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
 def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of points strictly inside the max-norm ball of each point
     (the centre point itself included in the count); radii must be > 0.
-    The three paths, all exact, are described in the module note."""
+    The three paths, all exact, are described in the module note: sorted
+    1-D runs, rank-space 2-D rectangles, and from d = 3 bounded k-NN with a
+    ball-query fallback."""
     if points.shape[1] == 1:
-        # the values above a ball are those below the ball of the negated
-        # point, since rounding is symmetric under negation
-        values = points[:, 0]
-        return values.size - _below_ball(values, radii) - _below_ball(-values, radii)
+        lo, hi = _ball_runs(points[:, 0], radii)
+        return hi - lo
+    if points.shape[1] == 2:
+        return _rank_counts(points, radii)
     tree = cKDTree(points)
     slots = min(_SLOTS, len(points))
     counts = np.empty(len(points), dtype=np.intp)
@@ -206,6 +213,14 @@ def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     if ball.size:
         counts[ball] = _ball_counts(tree, points[ball], radii[ball])
     return counts
+
+
+def _ball_runs(values: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run ``[lo, hi)`` of positions in the sorted values that lie
+    strictly inside the ball of each value.  The values above a ball are
+    those below the ball of the negated value, since rounding is symmetric
+    under negation."""
+    return _below_ball(values, radii), values.size - _below_ball(-values, radii)
 
 
 def _below_ball(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -231,6 +246,40 @@ def _below_ball(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
         todo = todo[outside]
         edge[todo] = np.searchsorted(ordered, ordered[at[outside]], "right")
     return edge
+
+
+def _rank_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Points strictly inside each 2-D ball, counted in rank space.
+
+    Tied values are all inside or all outside a ball, so the run of a
+    coordinate's sorted positions inside ball i is also the run
+    ``[lo, hi)`` of its ranks from a stable argsort, and the ball holds the
+    points whose rank pair lies in ``[lo_a, hi_a) x [lo_b, hi_b)``.  That
+    count is ``P(hi_a) - P(lo_a)``, where ``P(e)`` counts the points of
+    first rank below e and second rank in ``[lo_b, hi_b)``.  The first
+    ranks below e split into one power-of-two block per set bit L of e,
+    block ``(e >> L) - 1`` of size 2**L.  Each level L sorts the keys
+    ``block * n + second rank`` once, so every block count is the
+    difference of two ``searchsorted`` calls: O(n log^2 n) time and O(n)
+    extra memory.
+    """
+    n = len(points)
+    (lo_a, hi_a), (lo_b, hi_b) = (_ball_runs(points[:, j], radii) for j in (0, 1))
+    rank_b = np.empty(n, dtype=np.intp)
+    rank_b[np.argsort(points[:, 1], kind="stable")] = np.arange(n)
+    # the second rank of the point at each first rank
+    second = rank_b[np.argsort(points[:, 0], kind="stable")]
+    first = np.arange(n)
+    edges = np.concatenate([hi_a, lo_a])
+    lo_b, hi_b = np.tile(lo_b, 2), np.tile(hi_b, 2)
+    below = np.zeros(2 * n, dtype=np.intp)
+    for level in range(n.bit_length()):
+        at = np.flatnonzero((edges >> level) & 1)
+        base = ((edges[at] >> level) - 1) * n
+        keys = np.sort((first >> level) * n + second)
+        below[at] += (np.searchsorted(keys, base + hi_b[at])
+                      - np.searchsorted(keys, base + lo_b[at]))
+    return below[:n] - below[n:]
 
 
 def _bounded_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray,

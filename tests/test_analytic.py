@@ -279,6 +279,13 @@ class TestGaussianProcessSpec:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize("s", [2.5, math.nan, math.inf, 0])
+    def test_seasonal_period_must_be_a_positive_integer(self, s):
+        with pytest.raises(DomainError):
+            GaussianProcessSpec.seasonal_ar(0.5, 0.5, s)
+        with pytest.raises(DomainError):
+            seasonal_ar_acf(0.5, 0.5, s, 5)
+
     def test_ar1_is_the_seasonal_model_at_Phi_zero(self):
         assert GaussianProcessSpec.ar1(0.5, 2.0) == GaussianProcessSpec.seasonal_ar(
             0.5, 0.0, 1, 2.0

@@ -353,9 +353,9 @@ class TestCountKernel:
     def test_bounded_path_fallback_and_hand_over_all_run(self, monkeypatch):
         g = np.random.default_rng(3)
         n = 40 * estimators._BINS
-        points = g.uniform(0.0, 1.0, (n, 2))
+        points = g.uniform(0.0, 1.0, (n, 3))
         # a clump whose members hold more than the k-NN slots at any radius
-        points[:60] = 0.5 + g.uniform(0.0, 1e-6, (60, 2))
+        points[:60] = 0.5 + g.uniform(0.0, 1e-6, (60, 3))
         radii = g.permutation(np.geomspace(1e-4, 2.0, n))
         bounded, ball = [], []
 
@@ -381,3 +381,25 @@ class TestCountKernel:
         assert len(bounded) < estimators._BINS
         queried = sum(out.size for out in bounded)
         assert len(ball) == 1 and ball[0].size == sum(full) + n - queried
+
+    @pytest.mark.parametrize("tie", [lambda c: np.round(c, 1), lambda c: np.full_like(c, c[0])],
+                             ids=["runs", "constant"])
+    def test_rank_path_runs_in_two_dimensions(self, monkeypatch, tie):
+        g = np.random.default_rng(4)
+        n = 500
+        points = g.standard_normal((n, 2))
+        points[:, 0] = tie(points[:, 0])
+        partner = g.permutation(n)
+        radii = np.abs(points - points[partner]).max(axis=1)
+        radii = np.where(radii > 0.0, radii, 0.5)
+        radii[::2] = np.nextafter(radii[::2], np.inf)
+        radii[1::4] = np.nextafter(radii[1::4], 0.0)
+
+        def unused(*args):
+            raise AssertionError("a k-d tree count ran on 2-D points")
+
+        monkeypatch.setattr(estimators, "_bounded_counts", unused)
+        monkeypatch.setattr(estimators, "_ball_counts", unused)
+        _, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: estimators._counts_within(points, radii))
+        assert called == ["count"]
