@@ -9,6 +9,7 @@ identical input.
 from __future__ import annotations
 
 import math
+from html import escape
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 48
@@ -61,7 +62,7 @@ def render_profile_svg(
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(title)}</text>',
+        f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>',
     ]
     axis_y0 = sy(y_lo)
     lines.append(
@@ -96,7 +97,8 @@ def render_profile_svg(
     lines.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">'
+        f'{escape(y_label, quote=False)}</text>'
     )
     d_parts: list[str] = []
     pen_down = False
@@ -114,13 +116,8 @@ def render_profile_svg(
     lines.append(
         f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16}" '
         f'text-anchor="end" font-family="sans-serif" font-size="11" '
-        f'fill="{_COLOR}">{_escape(label)}</text>'
+        f'fill="{_COLOR}">{escape(label, quote=False)}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .core import ForecastabilityProfile, TimeSeries, _ascending_horizons
+from .core import ForecastabilityProfile, TimeSeries, _ascending_horizons, _integer
 from .errors import CoverageError, DomainError, SingularSystem
 
 __all__ = [
@@ -52,13 +52,8 @@ class GaussianProcessSpec:
             raise DomainError("innovation_variance must be positive and finite")
         if not (abs(self.phi) < 1 and abs(self.Phi) < 1):
             raise DomainError("a stationary process requires |phi| < 1 and |Phi| < 1")
-        try:
-            s = int(self.s)
-        except (TypeError, ValueError, OverflowError):
-            s = 0
-        if s != self.s or s < 1:
-            raise DomainError("seasonal period s must be an integer >= 1")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _integer(
+            self.s, 1, DomainError, "seasonal period s must be an integer >= 1"))
 
     @classmethod
     def ar1(cls, phi: float, innovation_variance: float = 1.0) -> "GaussianProcessSpec":

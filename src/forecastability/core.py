@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientData, MissingHorizon
 
@@ -33,18 +34,28 @@ def _frozen_array(values, ndim=1) -> np.ndarray:
     return arr
 
 
+def _integer(value, least: int, error: type[Exception], message: str) -> int:
+    """``value`` as an int; ``error(message)`` unless it is an integer >= least.
+
+    Any value equal to its own ``int`` counts (3, 3.0, np.int64(3), True);
+    1.5, NaN, inf and "3" do not.
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message) from None
+    if number != value or number < least:
+        raise error(message)
+    return number
+
+
 def _ascending_horizons(horizons) -> tuple[int, ...]:
     """The horizons as ints; ValueError unless each is an integer, and they
     are strictly ascending and positive."""
-    given = tuple(horizons)
-    try:
-        horizons = tuple(int(h) for h in given)
-    except (TypeError, ValueError, OverflowError):
-        horizons = ()
-    if not horizons or horizons != given or horizons[0] < 1 or any(
-        b <= a for a, b in zip(horizons, horizons[1:])
-    ):
-        raise ValueError("horizons must be strictly ascending positive integers")
+    message = "horizons must be strictly ascending positive integers"
+    horizons = tuple(_integer(h, 1, ValueError, message) for h in horizons)
+    if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ValueError(message)
     return horizons
 
 
@@ -75,8 +86,8 @@ class InformationSetSpec:
     horizons: tuple[int, ...]
 
     def __post_init__(self):
-        if self.lag_order < 1:
-            raise ValueError("lag_order must be >= 1")
+        object.__setattr__(self, "lag_order", _integer(
+            self.lag_order, 1, ValueError, "lag_order must be an integer >= 1"))
         object.__setattr__(self, "horizons", _ascending_horizons(self.horizons))
 
 
@@ -98,8 +109,8 @@ class EmbeddedPairs:
         future = _frozen_array(self.future)
         if past.shape[0] != future.shape[0]:
             raise ValueError("past and future must have equal length")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        object.__setattr__(self, "horizon", _integer(
+            self.horizon, 1, ValueError, "horizon must be an integer >= 1"))
         object.__setattr__(self, "past", past)
         object.__setattr__(self, "future", future)
 
@@ -183,8 +194,7 @@ def lag_embed(series: TimeSeries, p: int, h: int) -> EmbeddedPairs:
     InsufficientData
         If the series is too short, i.e. ``n - h - p + 1 < 1``.
     """
-    if p < 1 or h < 1:
-        raise ValueError("p and h must be positive integers")
+    p, h = (_integer(v, 1, ValueError, "p and h must be positive integers") for v in (p, h))
     n = len(series)
     n_eff = n - h - p + 1
     if n_eff < 1:
@@ -192,7 +202,5 @@ def lag_embed(series: TimeSeries, p: int, h: int) -> EmbeddedPairs:
             f"series of length {n} admits no pairs at p={p}, h={h}"
         )
     y = series.values
-    rows = np.arange(n_eff)[:, None] + np.arange(p - 1, -1, -1)[None, :]
-    past = y[rows]
-    future = y[p - 1 + np.arange(n_eff) + h]
-    return EmbeddedPairs(past=past, future=future, horizon=h)
+    past = sliding_window_view(y, p)[:n_eff, ::-1]
+    return EmbeddedPairs(past=past, future=y[p - 1 + h:], horizon=h)

@@ -27,14 +27,12 @@ with ``searchsorted``.  In two dimensions (the x-marginal at p=2, the
 budget's (z, y)) the runs on both coordinates make the ball a rectangle of
 rank pairs, counted by a merge-sort tree over the ranks (Bentley, CACM
 23(4), 1980); no float is compared beyond the two runs.  From three
-dimensions on, the points are sorted by radius into 32 bins, and each bin,
-in ascending order, runs a k-d tree k-NN query holding 32 neighbours below
-the bin's largest radius; this is fast when few points lie inside each
-ball, as in the 13-dimensional (z, w) marginal of the budget.  A point that
-fills all 32 slots is counted again by the k-d tree ball query, and once
-more than half of a bin does, that bin's full points and every later bin go
-to the ball query directly, so a dense marginal pays almost nothing for the
-attempt.  The tests check the distances and every count path bit for bit
+dimensions on, the count takes two passes.  The points are sorted by
+radius into 32 bins, and each bin runs a k-d tree k-NN query holding 32
+neighbours below the bin's largest radius; this is fast when few points lie
+inside each ball, as in the 13-dimensional (z, w) marginal of the budget.
+Then every point that filled all 32 slots is counted again, in one k-d tree
+ball query.  The tests check the distances and every count path bit for bit
 against a brute-force oracle, which pins down the strict-inequality
 counting convention.
 
@@ -60,6 +58,7 @@ from .core import (
     InformationSetSpec,
     TimeSeries,
     _ascending_horizons,
+    _integer,
     lag_embed,
 )
 from .errors import ConfigError, DegenerateSample, DomainError
@@ -110,10 +109,10 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("neighbour count k must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        object.__setattr__(self, "k", _integer(
+            self.k, 1, ConfigError, "neighbour count k must be an integer >= 1"))
+        object.__setattr__(self, "seed", _integer(
+            self.seed, 0, ConfigError, "seed must be a nonnegative integer"))
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,11 @@ def _as_points(sample) -> np.ndarray:
 
 def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
     """Max-norm distance from each point to its k-th nearest neighbour
-    (self excluded); a zero distance (duplicate points) is rejected."""
+    (self excluded); ConfigError unless k is an integer with ``1 <= k < N``,
+    and a zero distance (duplicate points) is rejected."""
+    k = _integer(k, 1, ConfigError, "neighbour count k must be an integer >= 1")
+    if k >= len(points):
+        raise ConfigError(f"k={k} requires more than k samples, got {len(points)}")
     dists, _ = cKDTree(points).query(points, k=k + 1, p=np.inf, workers=-1)
     eps = dists[:, k]
     if np.any(eps == 0.0):
@@ -190,7 +193,7 @@ def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     (the centre point itself included in the count); radii must be > 0.
     The three paths, all exact, are described in the module note: sorted
     1-D runs, rank-space 2-D rectangles, and from d = 3 bounded k-NN with a
-    ball-query fallback."""
+    ball-query second pass."""
     if points.shape[1] == 1:
         lo, hi = _ball_runs(points[:, 0], radii)
         return hi - lo
@@ -200,16 +203,9 @@ def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     slots = min(_SLOTS, len(points))
     counts = np.empty(len(points), dtype=np.intp)
     order = np.argsort(radii, kind="stable")
-    bins = np.array_split(order, min(_BINS, len(points)))
-    ball = []
-    for b, members in enumerate(bins):
+    for members in np.array_split(order, min(_BINS, len(points))):
         counts[members] = _bounded_counts(tree, points[members], radii[members], slots)
-        full = members[counts[members] == slots]
-        ball.append(full)
-        if 2 * full.size > members.size:
-            ball.extend(bins[b + 1:])
-            break
-    ball = np.concatenate(ball)
+    ball = np.flatnonzero(counts == slots)
     if ball.size:
         counts[ball] = _ball_counts(tree, points[ball], radii[ball])
     return counts
@@ -301,13 +297,6 @@ def _ball_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray) -> np.nd
     )
 
 
-def _validate_knn_args(n: int, k: int):
-    if k < 1:
-        raise ConfigError("neighbour count k must be >= 1")
-    if k >= n:
-        raise ConfigError(f"k={k} requires more than k samples, got {n}")
-
-
 def kl_entropy(sample, k: int = 5) -> float:
     """Kozachenko-Leonenko differential entropy estimate in nats.
 
@@ -317,7 +306,6 @@ def kl_entropy(sample, k: int = 5) -> float:
     """
     pts = _as_points(sample)
     n, d = pts.shape
-    _validate_knn_args(n, k)
     eps = _kth_distances(pts, k)
     return float(digamma(n) - digamma(k) + d * _LN2 + d * np.mean(np.log(eps)))
 
@@ -331,14 +319,12 @@ def ksg_mutual_information(x, y, k: int = 5) -> float:
     ys = _as_points(y)
     if xs.shape[0] != ys.shape[0]:
         raise ConfigError("x and y must have the same number of samples")
-    n = xs.shape[0]
-    _validate_knn_args(n, k)
     eps = _kth_distances(np.hstack([xs, ys]), k)
     # counts include the centre point, i.e. equal n_x + 1 in the KSG formula
     nx = _counts_within(xs, eps)
     ny = _counts_within(ys, eps)
     return float(
-        digamma(k) + digamma(n) - np.mean(digamma(nx) + digamma(ny))
+        digamma(k) + digamma(len(xs)) - np.mean(digamma(nx) + digamma(ny))
     )
 
 
@@ -351,8 +337,6 @@ def _ksg_conditional_mutual_information(z, w, y, k: int) -> float:
     dimension-dependent biases of the three neighbourhoods largely cancel.
     """
     zs, ws, ys = _as_points(z), _as_points(w), _as_points(y)
-    n = zs.shape[0]
-    _validate_knn_args(n, k)
     eps = _kth_distances(np.hstack([zs, ws, ys]), k)
     # counts include the centre point, i.e. equal n + 1 in the estimator
     n_zw = _counts_within(np.hstack([zs, ws]), eps)
@@ -450,8 +434,9 @@ def finite_window_budget(
     ``n - h - p_large + 1`` does not exceed ``k + 1`` get a NaN gap marker.
     Deterministic given the config seed.
     """
-    if p_small < 1 or p_small >= p_large:
-        raise ConfigError("need 1 <= p_small < p_large")
+    message = "need integers 1 <= p_small < p_large"
+    p_small = _integer(p_small, 1, ConfigError, message)
+    p_large = _integer(p_large, p_small + 1, ConfigError, message)
     horizons = _ascending_horizons(horizons)
     deltas = [
         math.nan if pairs is None

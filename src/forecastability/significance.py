@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InformationSetSpec, TimeSeries
+from .core import InformationSetSpec, TimeSeries, _integer
 from .estimators import EstimatorConfig, estimate_profile
 from .errors import ConfigError
 
@@ -68,12 +68,9 @@ def permutation_test(
     samples already drawn.  Horizons whose observed estimate is a gap are
     omitted from the result list.
     """
-    if replicates < _MIN_REPLICATES:
-        raise ConfigError(
-            f"need at least {_MIN_REPLICATES} replicates to resolve p <= 0.05"
-        )
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    replicates = _integer(replicates, _MIN_REPLICATES, ConfigError,
+                          f"need at least {_MIN_REPLICATES} replicates to resolve p <= 0.05")
+    seed = _integer(seed, 0, ConfigError, "seed must be a nonnegative integer")
     observed = estimate_profile(series, spec, config)
     live = observed.horizons_with_data()
     if not live:

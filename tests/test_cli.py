@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -184,6 +186,19 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     code = ("import sys, forecastability, forecastability.cli; "
             "assert 'scipy.signal' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_console_script_target_prints_help(runner):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    # a pattern, not tomllib, which Python 3.10 lacks
+    script = re.search(r'^\[project\.scripts\]\nforecastability = "([\w.]+):(\w+)"$',
+                       pyproject.read_text(), re.MULTILINE)
+    assert script, "pyproject.toml declares no forecastability console script"
+    target = getattr(importlib.import_module(script[1]), script[2])
+    result = runner.invoke(target, ["--help"])
+    assert result.exit_code == 0, result.output + repr(result.exception)
+    assert result.output.startswith("Usage: ")
+    assert all(command in result.output for command in ("profile", "significance"))
 
 
 def test_overlong_horizon_range_exit_2(runner, tmp_path):

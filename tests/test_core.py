@@ -50,7 +50,7 @@ class TestInformationSetSpec:
 
     @pytest.mark.parametrize(
         "p,hs",
-        [(0, (1,)), (1, ()), (1, (0, 1)), (1, (2, 2)), (1, (3, 1))],
+        [(0, (1,)), (1, ()), (1, (0, 1)), (1, (2, 2)), (1, (3, 1)), (1.5, (1,))],
     )
     def test_invalid(self, p, hs):
         with pytest.raises(ValueError):
@@ -62,9 +62,9 @@ class TestInformationSetSpec:
             InformationSetSpec(lag_order=1, horizons=hs)
 
     def test_integral_horizons_are_stored_as_int(self):
-        spec = InformationSetSpec(lag_order=1, horizons=(1.0, np.int64(3)))
+        spec = InformationSetSpec(lag_order=2.0, horizons=(1.0, np.int64(3)))
         assert spec.horizons == (1, 3)
-        assert all(type(h) is int for h in spec.horizons)
+        assert all(type(h) is int for h in (spec.lag_order, *spec.horizons))
 
 
 class TestLagEmbed:
@@ -121,6 +121,10 @@ class TestLagEmbed:
             lag_embed(series, p=0, h=1)
         with pytest.raises(ValueError):
             lag_embed(series, p=1, h=0)
+        with pytest.raises(ValueError):
+            lag_embed(series, p=1.5, h=1)
+        with pytest.raises(ValueError):
+            lag_embed(series, p=1, h=1.5)
 
 
 class TestEmbeddedPairs:
@@ -129,6 +133,15 @@ class TestEmbeddedPairs:
             EmbeddedPairs(
                 past=np.zeros((3, 2)), future=np.zeros(2), horizon=1
             )
+
+    @pytest.mark.parametrize("horizon", [0, 1.5, math.nan])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(ValueError):
+            EmbeddedPairs(past=np.zeros((2, 1)), future=np.zeros(2), horizon=horizon)
+
+    def test_integral_horizon_is_stored_as_int(self):
+        pairs = EmbeddedPairs(past=np.zeros((2, 1)), future=np.zeros(2), horizon=np.int64(3))
+        assert type(pairs.horizon) is int and pairs.horizon == 3
 
 
 class TestForecastabilityProfile:

@@ -42,10 +42,16 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig()
         assert cfg.k == 5 and cfg.seed == 0
 
-    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(k=-2), dict(seed=-1)])
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(k=-2), dict(seed=-1),
+                                        dict(k=2.5), dict(seed=1.5)])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             EstimatorConfig(**kwargs)
+
+    def test_integral_values_are_stored_as_int(self):
+        cfg = EstimatorConfig(k=True, seed=np.int64(7))
+        assert (cfg.k, cfg.seed) == (1, 7)
+        assert type(cfg.k) is int and type(cfg.seed) is int
 
 
 class TestDigamma:
@@ -108,6 +114,8 @@ class TestKlEntropy:
             kl_entropy(np.arange(5.0), k=5)
         with pytest.raises(ConfigError):
             kl_entropy(np.arange(5.0), k=0)
+        with pytest.raises(ConfigError):
+            kl_entropy(np.arange(5.0), k=2.5)
 
 
 class TestKsgMutualInformation:
@@ -267,6 +275,10 @@ class TestFiniteWindowBudget:
             finite_window_budget(white_noise, 3, 3, (1,), config)
         with pytest.raises(ConfigError):
             finite_window_budget(white_noise, 0, 3, (1,), config)
+        with pytest.raises(ConfigError):
+            finite_window_budget(white_noise, 1.5, 3, (1,), config)
+        with pytest.raises(ConfigError):
+            finite_window_budget(white_noise, 1, 3.5, (1,), config)
 
     def test_markov_series_has_no_budget(self, ar1_strong, config):
         budget = finite_window_budget(ar1_strong, 1, 3, (1,), config)
@@ -350,7 +362,7 @@ class TestCountKernel:
         assert np.array_equal(estimators._counts_within(points, radii),
                               counts_within(points, radii))
 
-    def test_bounded_path_fallback_and_hand_over_all_run(self, monkeypatch):
+    def test_bounded_pass_then_one_ball_query(self, monkeypatch):
         g = np.random.default_rng(3)
         n = 40 * estimators._BINS
         points = g.uniform(0.0, 1.0, (n, 3))
@@ -360,9 +372,9 @@ class TestCountKernel:
         bounded, ball = [], []
 
         def record(log, kernel):
-            def wrapper(*args):
-                out = kernel(*args)
-                log.append(out)
+            def wrapper(tree, centres, *args):
+                out = kernel(tree, centres, *args)
+                log.append((centres, out))
                 return out
             return wrapper
 
@@ -373,14 +385,16 @@ class TestCountKernel:
         _, called = kernel_calls_match_oracle(
             monkeypatch, lambda: estimators._counts_within(points, radii))
         assert called == ["count"]
-        full = [int(np.sum(out == estimators._SLOTS)) for out in bounded]
-        # some bins send a few points to the ball query, the last bounded bin
-        # more than half of its points, and the bins after it go unqueried
-        assert any(0 < f <= out.size // 2 for f, out in zip(full, bounded))
-        assert 2 * full[-1] > bounded[-1].size
-        assert len(bounded) < estimators._BINS
-        queried = sum(out.size for out in bounded)
-        assert len(ball) == 1 and ball[0].size == sum(full) + n - queried
+        # every bin is queried once, and the bins hold each point once
+        assert len(bounded) == estimators._BINS
+        queried = np.concatenate([centres for centres, _ in bounded])
+        assert len(queried) == n
+        assert np.array_equal(np.unique(queried, axis=0), np.unique(points, axis=0))
+        # one ball query, on exactly the points that filled all slots
+        full = np.concatenate([centres[out == estimators._SLOTS] for centres, out in bounded])
+        assert 0 < len(full) < n
+        assert len(ball) == 1 and len(ball[0][0]) == len(full)
+        assert np.array_equal(np.unique(ball[0][0], axis=0), np.unique(full, axis=0))
 
     @pytest.mark.parametrize("tie", [lambda c: np.round(c, 1), lambda c: np.full_like(c, c[0])],
                              ids=["runs", "constant"])

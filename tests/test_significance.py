@@ -43,11 +43,19 @@ class TestPermutationTest:
             permutation_test(
                 white_noise, InformationSetSpec(1, (1,)), config, replicates=18, seed=0
             )
+        with pytest.raises(ConfigError):
+            permutation_test(
+                white_noise, InformationSetSpec(1, (1,)), config, replicates=19.5, seed=0
+            )
 
     def test_negative_seed_rejected(self, white_noise, config):
         with pytest.raises(ConfigError):
             permutation_test(
                 white_noise, InformationSetSpec(1, (1,)), config, replicates=19, seed=-1
+            )
+        with pytest.raises(ConfigError):
+            permutation_test(
+                white_noise, InformationSetSpec(1, (1,)), config, replicates=19, seed=1.5
             )
 
     def test_white_noise_not_significant(self, config):
