@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .core import ForecastabilityProfile, TimeSeries, _ascending_horizons, _integer
 from .errors import CoverageError, DomainError, SingularSystem
@@ -163,7 +162,9 @@ def gaussian_profile_from_acf(rho, p: int, horizons) -> ForecastabilityProfile:
             f"need autocorrelations up to lag {needed}, got {rho.size}"
         )
     full = np.concatenate([[1.0], rho])
-    L = _nested_cholesky(toeplitz(full[:p]))
+    lags = np.arange(p)
+    # the Toeplitz matrix R[i, j] = full[|i - j|], gathered without scipy.linalg
+    L = _nested_cholesky(full[np.abs(np.subtract.outer(lags, lags))])
     values = []
     for h in horizons:
         z = _forward_solve(L, full[h: h + p])
@@ -210,7 +211,7 @@ def simulate(
     initial conditions of ``(1 - phi*B)(1 - Phi*B^s)``, discarding ``burn_in``
     transient observations.  Deterministic in (spec, n, seed, burn_in).
     """
-    from scipy.signal import lfilter  # about 0.5 s to import; only used here
+    from scipy.signal import lfilter  # about 1 s to import; only used here
 
     if n < 1:
         raise ValueError("n must be >= 1")

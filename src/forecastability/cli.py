@@ -49,10 +49,10 @@ from .core import (
     InformationSetSpec,
     TimeSeries,
     _ascending_horizons,
+    _integers,
 )
 from .diagnostics import (
     ProbeEvaluation,
-    _int64_indices,
     decompose_loss,
     fano_bound,
     pinsker_bound,
@@ -245,7 +245,8 @@ def read_probe_csv(path: str) -> dict[int, ProbeEvaluation]:
     log_density) CSV.  Log densities are in nats, original series units."""
     table = np.array(_read_rows(path, (3,)))
     try:  # both index columns, before a horizon with too few rows can fail
-        index = _int64_indices(table[:, :2], "t_index and horizon")
+        index = _integers(table[:, :2],
+                          "t_index and horizon must be finite integers in the int64 range")
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
     probes = {}

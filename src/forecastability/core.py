@@ -49,6 +49,25 @@ def _integer(value, least: int, error: type[Exception], message: str) -> int:
     return number
 
 
+def _integers(values, message: str) -> np.ndarray:
+    """A new int64 array of ``values``; ``ValueError(message)`` unless each
+    one is an integer in the int64 range.
+
+    The array form of ``_integer``: booleans, integers and integral floats
+    count; 1.5, NaN, inf, 2.0**63 and strings such as "3" do not.
+    """
+    raw = np.asarray(values)
+    if np.can_cast(raw.dtype, np.int64):
+        return raw.astype(np.int64)
+    if raw.dtype.kind not in "uf":
+        raise ValueError(message)
+    as_float = raw.astype(float)
+    in_range = (as_float >= -(2.0 ** 63)) & (as_float < 2.0 ** 63)
+    if not np.all(in_range & (as_float == np.floor(as_float))):
+        raise ValueError(message)
+    return as_float.astype(np.int64)
+
+
 def _ascending_horizons(horizons) -> tuple[int, ...]:
     """The horizons as ints; ValueError unless each is an integer, and they
     are strictly ascending and positive."""

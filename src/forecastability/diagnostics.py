@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ForecastabilityProfile, TimeSeries
+from .core import ForecastabilityProfile, TimeSeries, _integers
 from .errors import ConfigError, DomainError, MissingHorizon
 from .estimators import EstimatorConfig, _binary_exponent, _jitter, kl_entropy
 
@@ -38,19 +38,6 @@ __all__ = [
 
 _RATIO_FLOOR = 1e-6
 _LOW_FORECASTABILITY = 0.01
-
-
-def _int64_indices(values, name: str = "eval_indices") -> np.ndarray:
-    """A new int64 array of ``values``; ValueError unless each one is a finite
-    integer in the int64 range."""
-    raw = np.asarray(values)
-    if np.can_cast(raw.dtype, np.int64):
-        return raw.astype(np.int64)
-    as_float = raw.astype(float)
-    in_range = (as_float >= -(2.0 ** 63)) & (as_float < 2.0 ** 63)
-    if not np.all(in_range & (as_float == np.floor(as_float))):
-        raise ValueError(f"{name} must be finite integers in the int64 range")
-    return as_float.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +55,10 @@ class ProbeEvaluation:
     eval_indices: np.ndarray
 
     def __post_init__(self):
-        horizon = _int64_indices(self.horizon, "horizon")
+        horizon = _integers(self.horizon, "horizon must be an integer in the int64 range")
         ld = np.array(self.log_densities, dtype=float)
-        idx = _int64_indices(self.eval_indices)
+        idx = _integers(self.eval_indices,
+                        "eval_indices must be finite integers in the int64 range")
         if horizon.ndim != 0 or horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
         if ld.ndim != 1 or idx.shape != ld.shape:

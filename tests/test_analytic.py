@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from forecastability import (
@@ -15,6 +16,7 @@ from forecastability import (
     seasonal_ar_acf,
     simulate,
 )
+from forecastability import analytic
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)  # 1.4189385332046727
 
@@ -166,6 +168,20 @@ class TestProfileFromAcf:
         assert interior_min < prof.value_at(1)
         assert prof.value_at(12) > prof.value_at(11)
         assert prof.value_at(12) > prof.value_at(13)
+
+    def test_window_matrix_is_the_scipy_toeplitz_matrix(self, monkeypatch):
+        rho = seasonal_ar_acf(0.5, 0.8, 12, 40)
+        full = np.concatenate([[1.0], rho])
+        factored, nested_cholesky = [], analytic._nested_cholesky
+
+        def record(R):
+            factored.append(R)
+            return nested_cholesky(R)
+
+        monkeypatch.setattr(analytic, "_nested_cholesky", record)
+        for p in range(1, 41):
+            gaussian_profile_from_acf(rho, p, (1,))
+            assert np.array_equal(factored[-1], toeplitz(full[:p]))
 
     def test_markov_budget_is_zero_for_ar1(self):
         horizons = tuple(range(1, 13))

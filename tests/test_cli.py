@@ -179,13 +179,29 @@ def test_refused_allocation_exit_2(runner, tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
     src = str(Path(forecastability.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, forecastability, forecastability.cli; "
-            "assert 'scipy.signal' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_leaves_scipy_signal_spatial_and_linalg_unloaded():
+    run_python("import sys, forecastability, forecastability.cli; "
+               "loaded = {'scipy.signal', 'scipy.spatial', 'scipy.linalg'} "
+               "& set(sys.modules); assert not loaded, loaded")
+
+
+def test_analytic_command_loads_no_scipy(tmp_path):
+    out = tmp_path / "profile.csv"
+    args = ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8", "--s", "12",
+            "--lags", "13", "--horizons", "1..36", "--out", str(out)]
+    run_python("import sys; from forecastability.cli import main; "
+               f"main({args!r}, standalone_mode=False); "
+               "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+               "assert not loaded, loaded")
+    assert out.read_text().count("\n") > 36
 
 
 def test_console_script_target_prints_help(runner):

@@ -82,6 +82,14 @@ class TestProbeEvaluation:
         with pytest.raises(ValueError, match="horizon"):
             ProbeEvaluation(horizon, np.zeros(3), [5, 6, 7])
 
+    def test_rejects_strings_as_the_scalar_rule_does(self):
+        with pytest.raises(ValueError):
+            InformationSetSpec(1, ("3",))
+        with pytest.raises(ValueError, match="horizon"):
+            ProbeEvaluation("3", [-1.0, -1.2], [10, 11])
+        with pytest.raises(ValueError, match="eval_indices"):
+            ProbeEvaluation(3, [-1.0, -1.2], ["10", "11.0"])
+
     def test_integral_horizon_is_stored_as_int(self):
         probe = ProbeEvaluation(np.float64(2.0), np.zeros(2), [5, 6])
         assert type(probe.horizon) is int and probe.horizon == 2

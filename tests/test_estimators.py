@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -352,6 +353,73 @@ def _count_inputs(draw):
     return points, np.where(use_fixed, fixed, radii)
 
 
+def clumped(n, d=3):
+    """Uniform points with a clump whose members hold more than the k-NN
+    slots at any radius, so that a count from d = 3 on runs the ball-query
+    pass; radii from 1e-4 to 2 in random order."""
+    g = np.random.default_rng(3)
+    points = g.uniform(0.0, 1.0, (n, d))
+    points[:60] = 0.5 + g.uniform(0.0, 1e-6, (60, d))
+    return points, g.permutation(np.geomspace(1e-4, 2.0, n))
+
+
+def record_workers(monkeypatch):
+    """Log ``(site, workers)`` for every k-d tree query the estimators make;
+    the site is "kth", "bounded" or "ball"."""
+    log = []
+
+    class Tree(scipy.spatial.cKDTree):
+        def query(self, x, k, **kwargs):
+            site = "bounded" if "distance_upper_bound" in kwargs else "kth"
+            log.append((site, kwargs["workers"]))
+            return super().query(x, k, **kwargs)
+
+        def query_ball_point(self, x, r, **kwargs):
+            log.append(("ball", kwargs["workers"]))
+            return super().query_ball_point(x, r, **kwargs)
+
+    # the estimators import cKDTree when they build a tree, so they get this one
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
+    return log
+
+
+class TestThreadCount:
+    def test_a_small_ksg_runs_single_threaded(self, monkeypatch):
+        log = record_workers(monkeypatch)
+        x, y = gaussian_pair(0.6, 1000, 0)
+        ksg_mutual_information(x, y, k=5)
+        assert log == [("kth", 1)]
+        # a 3-D x-marginal: the joint search and both count passes
+        g = np.random.default_rng(1)
+        xm = np.vstack([g.standard_normal((1000, 3)), 1e-9 * g.standard_normal((40, 3))])
+        ksg_mutual_information(xm, xm[:, 0] + g.standard_normal(1040), k=5)
+        assert {site for site, _ in log} == {"kth", "bounded", "ball"}
+        assert all(workers == 1 for _, workers in log)
+
+    def test_a_large_count_tree_stays_threaded(self, monkeypatch):
+        points, radii = clumped(estimators._THREADED_VALUES // 3 + 1)
+        log = record_workers(monkeypatch)
+        estimators._counts_within(points, radii)
+        assert {site for site, _ in log} == {"bounded", "ball"}
+        assert all(workers == -1 for _, workers in log)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_thread_count_never_changes_a_result(self, monkeypatch, d):
+        points, radii = clumped(40 * estimators._BINS, d)
+        results = []
+        for threshold, workers in ((0, -1), (2 ** 62, 1)):
+            monkeypatch.setattr(estimators, "_THREADED_VALUES", threshold)
+            log = record_workers(monkeypatch)
+            results.append((estimators._kth_distances(points, 5),
+                            estimators._counts_within(points, radii)))
+            assert {site for site, _ in log} == (
+                {"kth", "bounded", "ball"} if d >= 3 else {"kth"})
+            assert all(w == workers for _, w in log)
+        (eps_threaded, counts_threaded), (eps_single, counts_single) = results
+        assert np.array_equal(eps_threaded, eps_single)
+        assert np.array_equal(counts_threaded, counts_single)
+
+
 class TestCountKernel:
     @given(_count_inputs())
     # a centre at +r sees every value within ulp(r)/2 of 0 at distance r
@@ -363,12 +431,8 @@ class TestCountKernel:
                               counts_within(points, radii))
 
     def test_bounded_pass_then_one_ball_query(self, monkeypatch):
-        g = np.random.default_rng(3)
         n = 40 * estimators._BINS
-        points = g.uniform(0.0, 1.0, (n, 3))
-        # a clump whose members hold more than the k-NN slots at any radius
-        points[:60] = 0.5 + g.uniform(0.0, 1e-6, (60, 3))
-        radii = g.permutation(np.geomspace(1e-4, 2.0, n))
+        points, radii = clumped(n)
         bounded, ball = [], []
 
         def record(log, kernel):
