@@ -25,13 +25,10 @@ def _ticks(lo: float, hi: float) -> list[float]:
         if mag * mult >= raw_step:
             step = mag * mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        t += step
-    return ticks
+    # by index, since adding a step below half an ulp leaves a float as it
+    # is; far from 0 neighbouring multiples may round to one float
+    last = math.floor(hi / step + 1e-12)
+    return sorted({i * step for i in range(math.ceil(lo / step), last + 1)})
 
 
 def render_profile_svg(
@@ -69,7 +66,7 @@ def render_profile_svg(
         f'<path d="M {_MARGIN_L:.1f} {_MARGIN_T:.1f} L {_MARGIN_L:.1f} {axis_y0:.1f} '
         f'L {_WIDTH - _MARGIN_R:.1f} {axis_y0:.1f}" stroke="black" fill="none"/>'
     )
-    x_tick_vals = [t for t in _ticks(x_lo, x_hi) if float(t).is_integer()]
+    x_tick_vals = [t for t in _ticks(x_lo, x_hi) if t.is_integer() and x_lo <= t <= x_hi]
     for t in x_tick_vals:
         px = sx(t)
         lines.append(

@@ -107,8 +107,7 @@ def seasonal_ar_acf(phi: float, Phi: float, s: int, max_lag: int) -> np.ndarray:
     are O(max_lag) whatever ``s``, ``phi`` and ``Phi``.
     """
     s = GaussianProcessSpec.seasonal_ar(phi, Phi, s).s
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
+    max_lag = _integer(max_lag, 1, ValueError, "max_lag must be an integer >= 1")
     wrap = 1.0 - Phi * phi ** s
     gammas = np.empty(max_lag + 1)
     inner = np.zeros(max_lag + 1)  # sum_{m=1..q} Phi^m phi^(h - m*s)
@@ -150,8 +149,7 @@ def gaussian_profile_from_acf(rho, p: int, horizons) -> ForecastabilityProfile:
     an unblocked Cholesky factorisation, and ``R_h^2 = r_h . beta`` is
     accumulated term by term so that enlarging the window can never shrink it.
     """
-    if p < 1:
-        raise ValueError("lag order p must be >= 1")
+    p = _integer(p, 1, ValueError, "lag order p must be an integer >= 1")
     horizons = _ascending_horizons(horizons)
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1:
@@ -213,10 +211,9 @@ def simulate(
     """
     from scipy.signal import lfilter  # about 1 s to import; only used here
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    n = _integer(n, 1, ValueError, "n must be an integer >= 1")
+    burn_in = _integer(burn_in, 0, ValueError, "burn_in must be an integer >= 0")
+    seed = _integer(seed, 0, ValueError, "seed must be an integer >= 0")
     poles = np.zeros(spec.s + 2)
     poles[0] = 1.0
     poles[1] = -spec.phi

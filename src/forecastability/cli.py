@@ -322,6 +322,8 @@ def _emit_profile(profile: ForecastabilityProfile, units: str, manifest: RunMani
                   out: str | None, plot: str | None, label: str, title: str):
     """Write a profile as a table and, given ``plot``, as an SVG; an estimated
     one adds ``n_effective`` and ``gap``, with NaN (an empty cell) at gaps."""
+    if plot and profile.horizons[-1] >= 2 ** 53:  # from here on floats skip integers
+        raise ParseError(f"--plot needs horizons below 2**53, got {profile.horizons[-1]}")
     value_col = f"f_{units}"
     shown = [v / _LN2 if units == "bits" else v for v in profile.values_nats]
     rows = [{"horizon": h, value_col: v} for h, v in zip(profile.horizons, shown)]
@@ -457,8 +459,9 @@ def cmd_analytic(model, phi, Phi, s, lags, horizons, units, out, plot):
 
 def _warn_gaps(requested, with_data):
     """Warn for each requested horizon without data; fail if none has any."""
+    present = set(with_data)
     for h in requested:
-        if h not in with_data:
+        if h not in present:
             click.echo(f"warning: horizon {h}: insufficient data, gap reported", err=True)
     if not with_data:
         raise InsufficientData("insufficient data at every requested horizon")

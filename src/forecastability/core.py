@@ -198,8 +198,9 @@ class ForecastabilityProfile:
 
     def horizons_with_data(self) -> tuple[int, ...]:
         """Horizons that carry a value, i.e. every horizon not in ``gaps()``."""
-        gaps = self.gaps()
-        return tuple(h for h in self.horizons if h not in gaps)
+        return tuple(
+            h for h, v in zip(self.horizons, self.values_nats) if not math.isnan(v)
+        )
 
 
 def lag_embed(series: TimeSeries, p: int, h: int) -> EmbeddedPairs:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ForecastabilityProfile, TimeSeries, _integers
+from .core import ForecastabilityProfile, TimeSeries, _integer, _integers
 from .errors import ConfigError, DomainError, MissingHorizon
 from .estimators import EstimatorConfig, _binary_exponent, _jitter, kl_entropy
 
@@ -55,12 +55,10 @@ class ProbeEvaluation:
     eval_indices: np.ndarray
 
     def __post_init__(self):
-        horizon = _integers(self.horizon, "horizon must be an integer in the int64 range")
+        horizon = _integer(self.horizon, 1, ValueError, "horizon must be an integer >= 1")
         ld = np.array(self.log_densities, dtype=float)
         idx = _integers(self.eval_indices,
                         "eval_indices must be finite integers in the int64 range")
-        if horizon.ndim != 0 or horizon < 1:
-            raise ValueError("horizon must be an integer >= 1")
         if ld.ndim != 1 or idx.shape != ld.shape:
             raise ValueError("log_densities and eval_indices must be equal-length 1-d")
         if ld.size < 2:
@@ -73,7 +71,7 @@ class ProbeEvaluation:
             raise ValueError(f"duplicate t_index {repeated[0]} at horizon {horizon}")
         ld.flags.writeable = False
         idx.flags.writeable = False
-        object.__setattr__(self, "horizon", int(horizon))
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "log_densities", ld)
         object.__setattr__(self, "eval_indices", idx)
 
@@ -103,7 +101,7 @@ class FloorBounds:
     Either part may be absent: ``fano_min_error`` (with ``alphabet_size`` and
     ``fano_vacuous``) comes from the misclassification bound, and
     ``pinsker_tv_bound`` from the total-variation bound.  A vacuous
-    misclassification bound (value <= 0) is reported raw and flagged.
+    misclassification bound (value <= 0 or NaN) is reported raw and flagged.
     """
 
     fano_min_error: float | None = None
@@ -177,17 +175,17 @@ def fano_bound(
     """Minimum misclassification probability over an M-symbol alphabet:
     ``(H - F - 1) / log(M)`` with everything, including the 1, in nats.
 
-    The value is reported raw; when it is <= 0 the bound says nothing and
-    the vacuous flag is set.
+    The value is reported raw; when it is <= 0 or NaN the bound says nothing
+    and the vacuous flag is set.
     """
-    if alphabet_size < 2:
-        raise DomainError("alphabet_size must be at least 2")
+    alphabet_size = _integer(
+        alphabet_size, 2, DomainError, "alphabet_size must be an integer >= 2")
     value = (marginal_entropy_nats - forecastability_nats - 1.0) / math.log(
         alphabet_size
     )
     return FloorBounds(
         fano_min_error=value,
-        fano_vacuous=value <= 0.0,
+        fano_vacuous=not value > 0.0,
         alphabet_size=alphabet_size,
     )
 
@@ -195,6 +193,6 @@ def fano_bound(
 def pinsker_bound(forecastability_nats: float) -> FloorBounds:
     """Total-variation distance between conditional and marginal predictive
     distributions is at most sqrt(F/2)."""
-    if forecastability_nats < 0:
+    if not forecastability_nats >= 0:  # NaN is rejected too
         raise DomainError("forecastability must be clamped nonnegative upstream")
     return FloorBounds(pinsker_tv_bound=math.sqrt(forecastability_nats / 2.0))

@@ -175,7 +175,7 @@ def digamma(x):
     the x^-12 term; absolute error is below 1e-10 over the domain.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and np.any(arr <= 0):
+    if not np.all(arr > 0):  # NaN is outside the domain too
         raise DomainError("digamma requires x > 0")
     z = arr.copy() if arr.ndim else arr.reshape(1).copy()
     acc = np.zeros_like(z)
@@ -199,8 +199,8 @@ def _as_points(sample) -> np.ndarray:
     pts = np.asarray(sample, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("sample must be an (N,) or (N, d) array")
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError("sample must be a nonempty (N,) or (N, d) array")
     return np.ascontiguousarray(pts)
 
 

@@ -103,6 +103,15 @@ class TestSeasonalAcf:
         with pytest.raises(DomainError):
             seasonal_ar_acf(phi, Phi, 12, 10)
 
+    @pytest.mark.parametrize("max_lag", [0, 2.5, math.nan, "2"])
+    def test_max_lag_must_be_a_positive_integer(self, max_lag):
+        with pytest.raises(ValueError, match="max_lag"):
+            seasonal_ar_acf(0.5, 0.8, 12, max_lag)
+
+    def test_integral_max_lag_gives_the_same_acf(self):
+        np.testing.assert_array_equal(seasonal_ar_acf(0.5, 0.8, 12, 40.0),
+                                      seasonal_ar_acf(0.5, 0.8, 12, 40))
+
     @pytest.mark.parametrize("phi,Phi,s", ACF_CASES)
     def test_matches_psi_weights_oracle(self, phi, Phi, s):
         max_lag = max(48, 2 * s + 2)
@@ -145,6 +154,24 @@ class TestProfileFromAcf:
     def test_coverage_contract(self):
         with pytest.raises(CoverageError):
             gaussian_profile_from_acf(np.zeros(5), 2, (1, 5))  # needs lag 6
+
+    @pytest.mark.parametrize("p", [0, 1.5, math.nan, "2"])
+    def test_lag_order_must_be_a_positive_integer(self, p):
+        with pytest.raises(ValueError, match="lag order"):
+            gaussian_profile_from_acf(np.zeros(10), p, (1, 2))
+
+    def test_integral_lag_order_gives_the_same_profile(self):
+        rho = seasonal_ar_acf(0.5, 0.8, 12, 40)
+        assert (gaussian_profile_from_acf(rho, np.float64(13.0), (1, 12, 24))
+                == gaussian_profile_from_acf(rho, 13, (1, 12, 24)))
+
+    def test_rho_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            gaussian_profile_from_acf(np.zeros((5, 2)), 1, (1,))
+
+    def test_perfect_correlation_is_singular(self):
+        with pytest.raises(SingularSystem, match=r"R\^2 >= 1 at horizon 1"):
+            gaussian_profile_from_acf([1.0], 1, (1,))
 
     def test_non_positive_definite_window(self):
         # corr(y_t, y_{t-1}) = 0.9 with corr(y_t, y_{t-2}) = 0 is infeasible
@@ -277,6 +304,21 @@ class TestSimulate:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             simulate(GaussianProcessSpec.ar1(0.5), 0, seed=0)
+
+    @pytest.mark.parametrize("n,burn_in,seed", [
+        (10.5, 0, 0), ("10", 0, 0), (math.nan, 0, 0), (10, -1, 0), (10, 2.5, 0),
+        (10, 0, -1), (10, 0, 1.5), (10, 0, "3"),
+    ], ids=["n-float", "n-str", "n-nan", "burn_in-negative", "burn_in-float",
+            "seed-negative", "seed-float", "seed-str"])
+    def test_counts_and_seed_must_be_integers(self, n, burn_in, seed):
+        with pytest.raises(ValueError):
+            simulate(GaussianProcessSpec.ar1(0.5), n, seed=seed, burn_in=burn_in)
+
+    def test_integral_counts_and_seed_give_the_same_path(self):
+        spec = GaussianProcessSpec.ar1(0.5)
+        a = simulate(spec, 10.0, seed=np.int64(3), burn_in=np.float64(5.0))
+        b = simulate(spec, 10, seed=3, burn_in=5)
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestGaussianProcessSpec:

@@ -22,6 +22,7 @@ from forecastability import (
     simulate,
 )
 from forecastability import cli
+from forecastability._svg import render_profile_svg
 from forecastability.cli import main, parse_horizons, read_probe_csv, read_series_csv
 
 LN2 = math.log(2.0)
@@ -179,28 +180,28 @@ def test_refused_allocation_exit_2(runner, tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports this package."""
+def run_python(*args, **kwargs):
+    """Run ``python *args`` in a fresh interpreter that imports this package."""
     src = str(Path(forecastability.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 def test_cli_import_leaves_scipy_signal_spatial_and_linalg_unloaded():
-    run_python("import sys, forecastability, forecastability.cli; "
+    run_python("-c", "import sys, forecastability, forecastability.cli; "
                "loaded = {'scipy.signal', 'scipy.spatial', 'scipy.linalg'} "
-               "& set(sys.modules); assert not loaded, loaded")
+               "& set(sys.modules); assert not loaded, loaded", check=True)
 
 
 def test_analytic_command_loads_no_scipy(tmp_path):
     out = tmp_path / "profile.csv"
     args = ["analytic", "--model", "seasonal", "--phi", "0.5", "--Phi", "0.8", "--s", "12",
             "--lags", "13", "--horizons", "1..36", "--out", str(out)]
-    run_python("import sys; from forecastability.cli import main; "
+    run_python("-c", "import sys; from forecastability.cli import main; "
                f"main({args!r}, standalone_mode=False); "
                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-               "assert not loaded, loaded")
+               "assert not loaded, loaded", check=True)
     assert out.read_text().count("\n") > 36
 
 
@@ -396,6 +397,52 @@ class TestAnalyticCommand:
         texts = [t.text for t in root.findall(".//svg:text", ns)]
         assert "horizon" in texts
         assert any(t and t.startswith("forecastability") for t in texts)
+
+    @pytest.mark.parametrize("values", [[0.0, 0.0, 0.0], [-0.2, -0.2, -0.2]])
+    def test_flat_non_positive_profile_is_drawn_inside_the_axes(self, values):
+        root = ET.fromstring(render_profile_svg([1, 2, 3], "flat", values, "f", "flat"))
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        line = root.findall(".//svg:path", ns)[-1].get("d").split()
+        assert line[0] == "M" and len(line) == 9
+        assert all(28 <= float(y) <= 480 - 48 for y in line[2::3])
+        labels = [t.text for t in root.findall(".//svg:text[@text-anchor='end']", ns)]
+        assert "0" in labels
+
+    def test_both_ends_of_a_two_horizon_axis_are_labelled(self):
+        # the ticks step by 0.2 here; five float additions of 0.2 to 1.0
+        # stop short of 2.0, so the last tick once went unlabelled
+        root = ET.fromstring(render_profile_svg([1, 2], "two", [0.1, 0.2], "f", "two"))
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        labels = root.findall(".//svg:text[@font-size='11'][@text-anchor='middle']", ns)
+        assert [t.text for t in labels] == ["1", "2"]
+
+    # Beyond 2**53 neighbouring horizons round to one float, so the axis
+    # cannot place them: one such run used to loop forever, the other to end
+    # in a ZeroDivisionError.  A real process, so that a hang hits the timeout.
+    @pytest.mark.parametrize("horizons", ["100000000000000000,100000000000000016",
+                                          "9007199254740993"])
+    def test_plot_beyond_2_to_the_53_exit_2(self, tmp_path, horizons):
+        out, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+        result = run_python("-m", "forecastability.cli", "analytic", "--model", "ar1",
+                            "--phi", "0.5", "--horizons", horizons, "--out", str(out),
+                            "--plot", str(svg), capture_output=True, text=True,
+                            timeout=60)
+        assert result.returncode == 2, result.stderr
+        last = horizons.split(",")[-1]
+        assert result.stderr == f"error: --plot needs horizons below 2**53, got {last}\n"
+        assert not out.exists() and not svg.exists()
+
+    def test_plot_just_below_2_to_the_53(self, tmp_path):
+        svg = tmp_path / "e.svg"
+        result = run_python("-m", "forecastability.cli", "analytic", "--model", "ar1",
+                            "--phi", "0.5", "--horizons", "9007199254740990,9007199254740991",
+                            "--out", str(tmp_path / "e.csv"), "--plot", str(svg),
+                            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        labels = [int(t.text) for t in ET.fromstring(svg.read_text()).findall(
+            ".//svg:text[@font-size='11'][@text-anchor='middle']", ns)]
+        assert labels and all(9007199254740990 <= h <= 9007199254740991 for h in labels)
 
 
 class TestProfileCommand:

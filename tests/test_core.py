@@ -31,6 +31,10 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.array([1.0, bad, 2.0]))
 
+    def test_rejects_a_2d_array(self):
+        with pytest.raises(ValueError, match="expected a 1-dimensional array"):
+            TimeSeries(np.zeros((3, 2)))
+
     def test_values_are_read_only(self):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
@@ -170,6 +174,15 @@ class TestForecastabilityProfile:
         assert math.isnan(prof.clamped_nonneg()[2])
         assert prof.gaps() == (3,)
         assert prof.horizons_with_data() == (1, 2)
+
+    def test_horizons_with_data_are_the_complement_of_gaps(self):
+        horizons = tuple(range(1, 2001))
+        values = tuple(math.nan if h % 3 == 0 or h > 1500 else 0.1 for h in horizons)
+        prof = ForecastabilityProfile(horizons, values, source="estimated")
+        with_data, gaps = prof.horizons_with_data(), prof.gaps()
+        assert with_data == tuple(h for h in horizons if h not in set(gaps))
+        assert sorted(with_data + gaps) == list(horizons)
+        assert len(with_data) == 1000
 
     def test_missing_horizon(self):
         prof = ForecastabilityProfile(

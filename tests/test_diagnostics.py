@@ -77,10 +77,15 @@ class TestProbeEvaluation:
         with pytest.raises(ValueError, match="duplicate t_index 5 at horizon 1"):
             ProbeEvaluation(1, np.zeros(3), [5, 5, 6])
 
-    @pytest.mark.parametrize("horizon", [1.5, math.nan])
+    @pytest.mark.parametrize("horizon", [1.5, math.nan, np.array([3]), np.float64(0.0)])
     def test_rejects_a_horizon_that_is_not_an_integer(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             ProbeEvaluation(horizon, np.zeros(3), [5, 6, 7])
+
+    def test_horizon_has_no_int64_bound(self):
+        # like an InformationSetSpec horizon, unlike an eval index
+        probe = ProbeEvaluation(2 ** 70, np.zeros(2), [5, 6])
+        assert probe.horizon == 2 ** 70
 
     def test_rejects_strings_as_the_scalar_rule_does(self):
         with pytest.raises(ValueError):
@@ -259,6 +264,22 @@ class TestFanoBound:
         with pytest.raises(DomainError):
             fano_bound(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("alphabet_size", [2.5, math.nan, math.inf, "8"])
+    def test_alphabet_must_be_an_integer(self, alphabet_size):
+        with pytest.raises(DomainError, match="alphabet_size"):
+            fano_bound(0.1, 2.0, alphabet_size)
+
+    def test_integral_alphabet_is_stored_as_int(self):
+        bounds = fano_bound(0.0, LN8, 8.0)
+        assert type(bounds.alphabet_size) is int
+        assert bounds == fano_bound(0.0, LN8, 8)
+
+    @pytest.mark.parametrize("f,h", [(0.1, math.nan), (math.nan, LN8)])
+    def test_nan_bound_is_vacuous(self, f, h):
+        bounds = fano_bound(f, h, 4)
+        assert math.isnan(bounds.fano_min_error)
+        assert bounds.fano_vacuous is True
+
 
 class TestPinskerBound:
     def test_zero(self):
@@ -278,3 +299,7 @@ class TestPinskerBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             pinsker_bound(-0.01)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            pinsker_bound(math.nan)

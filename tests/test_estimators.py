@@ -79,7 +79,7 @@ class TestDigamma:
         assert out.shape == (3,)
         assert isinstance(digamma(1.5), float)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, np.array([2.0, math.nan])])
     def test_domain(self, x):
         with pytest.raises(DomainError):
             digamma(x)
@@ -109,6 +109,13 @@ class TestKlEntropy:
         sample = np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0])
         with pytest.raises(DegenerateSample):
             kl_entropy(sample, k=2)
+
+    @pytest.mark.parametrize("shape", [(0,), (10, 0), (0, 2), (2, 2, 2)])
+    def test_sample_shape_contract(self, shape):
+        with pytest.raises(ValueError, match="sample must be"):
+            kl_entropy(np.zeros(shape))
+        with pytest.raises(ValueError, match="sample must be"):
+            ksg_mutual_information(np.zeros(shape), np.arange(shape[0], dtype=float))
 
     def test_k_contract(self):
         with pytest.raises(ConfigError):
