@@ -16,19 +16,36 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 48
 _COLOR = "#1f6fb4"
 
 
+def _step(lo: float, hi: float) -> tuple[float, int]:
+    """About a sixth of ``hi - lo``, rounded up to 1, 2, 2.5, 5 or 10 times a
+    power of ten: the pair (multiple, exponent)."""
+    raw_step = (hi - lo) / 6
+    exponent = math.floor(math.log10(raw_step))
+    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+        if 10.0 ** exponent * mult >= raw_step:
+            return mult, exponent
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw_step = (hi - lo) / 6  # about six ticks per axis
-    mag = 10.0 ** math.floor(math.log10(raw_step))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if mag * mult >= raw_step:
-            step = mag * mult
-            break
+    mult, exponent = _step(lo, hi)
+    step = 10.0 ** exponent * mult
     # by index, since adding a step below half an ulp leaves a float as it
     # is; far from 0 neighbouring multiples may round to one float
     last = math.floor(hi / step + 1e-12)
     return sorted({i * step for i in range(math.ceil(lo / step), last + 1)})
+
+
+def _integer_ticks(lo: int, hi: int) -> list[int]:
+    """The integers in ``[lo, hi]`` (``lo < hi``) that are multiples of the
+    step ``_ticks`` takes there, in exact integer arithmetic."""
+    mult, exponent = _step(lo, hi)
+    # the step is num / den exactly; its least integer multiple is num / gcd
+    num = int(2 * mult) * 10 ** max(exponent, 0)
+    den = 2 * 10 ** max(-exponent, 0)
+    spacing = num // math.gcd(num, den)
+    return list(range(-(-lo // spacing) * spacing, hi + 1, spacing))
 
 
 def render_profile_svg(
@@ -66,8 +83,7 @@ def render_profile_svg(
         f'<path d="M {_MARGIN_L:.1f} {_MARGIN_T:.1f} L {_MARGIN_L:.1f} {axis_y0:.1f} '
         f'L {_WIDTH - _MARGIN_R:.1f} {axis_y0:.1f}" stroke="black" fill="none"/>'
     )
-    x_tick_vals = [t for t in _ticks(x_lo, x_hi) if t.is_integer() and x_lo <= t <= x_hi]
-    for t in x_tick_vals:
+    for t in _integer_ticks(int(x_lo), int(x_hi)):
         px = sx(t)
         lines.append(
             f'<line x1="{px:.1f}" y1="{axis_y0:.1f}" x2="{px:.1f}" '
@@ -75,7 +91,7 @@ def render_profile_svg(
         )
         lines.append(
             f'<text x="{px:.1f}" y="{axis_y0 + 18:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{int(t)}</text>'
+            f'font-family="sans-serif" font-size="11">{t}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         py = sy(t)

@@ -29,6 +29,10 @@ __all__ = [
     "simulate",
 ]
 
+# innovations drawn and filtered per pass of ``simulate``: bounds its lists
+_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class GaussianProcessSpec:
     """A stationary Gaussian multiplicative seasonal AR process,
@@ -208,18 +212,41 @@ def simulate(
     """Simulate an unnamed sample path by running the AR recursion from zero
     initial conditions of ``(1 - phi*B)(1 - Phi*B^s)``, discarding ``burn_in``
     transient observations.  Deterministic in (spec, n, seed, burn_in).
-    """
-    from scipy.signal import lfilter  # about 1 s to import; only used here
 
+    Each value is, in this order,
+
+        y[t] = (((0.0 - y[t-s-1]*far) - y[t-s]*seasonal) - y[t-1]*near) + e[t]
+
+    with ``far = phi*Phi``, ``seasonal = -Phi``, ``near = -phi`` (at ``s = 1``
+    ``near = -phi + -Phi`` and ``seasonal = 0``) and ``e`` the seeded
+    innovations.  These are the float operations that
+    ``scipy.signal.lfilter([1.0], a, e)``, direct form II transposed, does on
+    the nonzero taps of ``a``, the coefficients of the polynomial above; a
+    zero tap can change only the sign of a zero sum.  So the path equals
+    lfilter's bit for bit, and the recursion depends on Python float
+    arithmetic alone.
+    Innovations are drawn and filtered ``_CHUNK`` at a time, which draws the
+    same stream as one call for the whole path.
+    """
     n = _integer(n, 1, ValueError, "n must be an integer >= 1")
     burn_in = _integer(burn_in, 0, ValueError, "burn_in must be an integer >= 0")
     seed = _integer(seed, 0, ValueError, "seed must be an integer >= 0")
-    poles = np.zeros(spec.s + 2)
-    poles[0] = 1.0
-    poles[1] = -spec.phi
-    poles[spec.s] += -spec.Phi
-    poles[spec.s + 1] += spec.phi * spec.Phi
+    near, seasonal, far = -spec.phi, -spec.Phi, spec.phi * spec.Phi
+    if spec.s == 1:
+        near, seasonal = near + seasonal, 0.0
+    total = n + burn_in
+    s = min(spec.s, total)  # a longer period reads only the zero start
+    scale = math.sqrt(spec.innovation_variance)
     rng = np.random.default_rng(seed)
-    innovations = rng.standard_normal(n + burn_in) * math.sqrt(spec.innovation_variance)
-    path = lfilter([1.0], poles, innovations)[burn_in:]
-    return TimeSeries(values=path)
+    path = np.empty(total)
+    y = [0.0] * (s + 1)
+    far_lag, seasonal_lag = -s - 1, -s  # list positions of y[t-s-1] and y[t-s]
+    for start in range(0, total, _CHUNK):
+        e = (rng.standard_normal(min(_CHUNK, total - start)) * scale).tolist()
+        y = y[far_lag:]
+        append = y.append
+        for x in e:
+            append((((0.0 - y[far_lag] * far) - y[seasonal_lag] * seasonal)
+                    - y[-1] * near) + x)
+        path[start:start + len(e)] = y[s + 1:]
+    return TimeSeries(values=path[burn_in:])

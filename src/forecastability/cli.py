@@ -426,10 +426,12 @@ def cmd_simulate(model, phi, Phi, s, sigma2, n, seed, burn_in, out):
     _at_most("--n", n, _MAX_FLOAT_ARRAY)
     _at_most("--burn-in", burn_in, _MAX_FLOAT_ARRAY - n)
     spec = _gaussian_spec(model, phi, Phi, s, sigma2)
-    _at_most("--s", spec.s, _MAX_FLOAT_ARRAY - 2)  # the filter has s + 2 coefficients
+    # the recursion keeps min(s, n + burn-in) + 1 past values, but a period
+    # beyond any array length is refused like --n
+    _at_most("--s", spec.s, _MAX_FLOAT_ARRAY - 2)
     series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
     lines = ["value"]
-    lines.extend(repr(float(v)) for v in series.values)
+    lines.extend(map(repr, series.values.tolist()))
     _write_output(out, "\n".join(lines) + "\n", _command_manifest())
 
 

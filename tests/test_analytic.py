@@ -301,9 +301,56 @@ class TestSimulate:
         e = np.random.default_rng(4).standard_normal(n + burn_in)
         np.testing.assert_array_equal(ts.values, lfilter([1.0], [1.0, -phi], e)[burn_in:])
 
+    # lfilter is the oracle: simulate promises its float operations, in its
+    # order, so the two paths must agree in every bit
+    @staticmethod
+    def _lfilter_path(spec, n, seed, burn_in):
+        poles = np.zeros(spec.s + 2)
+        poles[0] = 1.0
+        poles[1] = -spec.phi
+        poles[spec.s] += -spec.Phi
+        poles[spec.s + 1] += spec.phi * spec.Phi
+        e = np.random.default_rng(seed).standard_normal(n + burn_in)
+        return lfilter([1.0], poles, e * math.sqrt(spec.innovation_variance))[burn_in:]
+
+    @pytest.mark.parametrize("s", [1, 2, 12, 52])
+    @pytest.mark.parametrize("phi,Phi", [
+        (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.5, 0.8), (-0.7, 0.6), (0.3, -0.9),
+        (-0.4, -0.5), (0.9999999, 0.0), (-0.0, -0.9999999), (0.9999999, -0.9999999),
+        (-0.9999999, 0.9999999),
+    ])
+    def test_seasonal_family_matches_lfilter_bit_for_bit(self, s, phi, Phi):
+        spec = GaussianProcessSpec(phi, Phi, s)
+        got = simulate(spec, 700, seed=4).values
+        expected = self._lfilter_path(spec, 700, 4, 1000)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    # innovation variances at both ends of the float range, no burn-in, the
+    # shortest path, and a path longer than one chunk of innovations
+    @pytest.mark.parametrize("s", [1, 12])
+    @pytest.mark.parametrize("variance,n,burn_in", [
+        (1e-300, 700, 1000), (1e300, 700, 1000), (1.0, 700, 0), (1.0, 2, 0),
+        (1.0, analytic._CHUNK + 1, 1000),
+    ], ids=["variance-1e-300", "variance-1e300", "no-burn-in", "n-2", "beyond-a-chunk"])
+    def test_sizes_and_scales_match_lfilter_bit_for_bit(self, s, variance, n, burn_in):
+        spec = GaussianProcessSpec(0.5, -0.8, s, variance)
+        got = simulate(spec, n, seed=6, burn_in=burn_in).values
+        expected = self._lfilter_path(spec, n, 6, burn_in)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_period_longer_than_the_path_matches_lfilter(self):
+        spec = GaussianProcessSpec(0.5, 0.8, 5000)
+        got = simulate(spec, 40, seed=2, burn_in=10).values
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      self._lfilter_path(spec, 40, 2, 10).view(np.uint64))
+
     def test_bad_n(self):
         with pytest.raises(ValueError):
             simulate(GaussianProcessSpec.ar1(0.5), 0, seed=0)
+
+    def test_one_value_is_no_series(self):
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            simulate(GaussianProcessSpec.ar1(0.5), 1, seed=0, burn_in=0)
 
     @pytest.mark.parametrize("n,burn_in,seed", [
         (10.5, 0, 0), ("10", 0, 0), (math.nan, 0, 0), (10, -1, 0), (10, 2.5, 0),
