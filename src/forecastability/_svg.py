@@ -27,8 +27,7 @@ def _step(lo: float, hi: float) -> tuple[float, int]:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """The multiples in ``[lo, hi]`` (``lo < hi``) of the step ``_step`` takes."""
     mult, exponent = _step(lo, hi)
     step = 10.0 ** exponent * mult
     # by index, since adding a step below half an ulp leaves a float as it

@@ -131,8 +131,9 @@ def _nested_cholesky(matrix: np.ndarray) -> np.ndarray:
     p = matrix.shape[0]
     L = np.zeros((p, p))
     for i in range(p):
-        for j in range(i):
-            L[i, j] = (matrix[i, j] - float(L[i, :j] @ L[j, :j])) / L[j, j]
+        # row i solves L[:i, :i] x = R[i, :i], so a leading block never
+        # depends on the rows below it
+        L[i, :i] = _forward_solve(L[:i, :i], matrix[i, :i])
         d = matrix[i, i] - float(L[i, :i] @ L[i, :i])
         if d <= 0.0 or not math.isfinite(d):
             raise SingularSystem(

@@ -197,7 +197,8 @@ def _read_rows(path: str, widths: tuple[int, ...]) -> list[list[float]]:
 
     Blank lines are skipped and a first line that is not numeric is the
     header.  Every data row must be numeric and as wide as the first one,
-    whose width must be one of ``widths``.
+    whose width must be one of ``widths``.  Each row is checked as it is
+    read, so the first defect in file order is the one reported.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a BOM
@@ -206,28 +207,25 @@ def _read_rows(path: str, widths: tuple[int, ...]) -> list[list[float]]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    rows = []
+    rows, width = [], None
     for i, line in enumerate(lines):
         try:
-            rows.append([float(cell) for cell in line.split(",")])
+            row = [float(cell) for cell in line.split(",")]
         except ValueError:
-            if i > 0:
+            if i == 0:  # the header
+                continue
+            row = []  # no cells: malformed at any position
+        if len(row) != width:
+            if rows or not row:
+                raise ParseError(f"{path}: malformed row {len(rows) + 1}: {line.strip()!r}")
+            if len(row) not in widths:
                 raise ParseError(
-                    f"{path}: malformed row {len(rows) + 1}: {line.strip()!r}"
-                ) from None
+                    f"{path}: expected {' or '.join(map(str, widths))} columns, found {len(row)}"
+                )
+            width = len(row)
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: only a header row")
-    width = len(rows[0])
-    if width not in widths:
-        raise ParseError(
-            f"{path}: expected {' or '.join(map(str, widths))} columns, found {width}"
-        )
-    header = len(lines) - len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: malformed row {i + 1}: {lines[header + i].strip()!r}"
-            )
     return rows
 
 
@@ -512,15 +510,15 @@ def cmd_significance(input, lags, horizons, k, replicates, seed, out):
     _warn_gaps(horizons, [r.horizon for r in results])
     rows = []
     for r in results:
-        null = np.array(r.null_samples)
+        q50, q95, q99 = np.quantile(r.null_samples, (0.50, 0.95, 0.99)).tolist()
         rows.append(
             {
                 "horizon": r.horizon,
                 "observed_nats": r.observed_nats,
                 "p_value": r.p_value,
-                "null_q50": float(np.quantile(null, 0.50)),
-                "null_q95": float(np.quantile(null, 0.95)),
-                "null_q99": float(np.quantile(null, 0.99)),
+                "null_q50": q50,
+                "null_q95": q95,
+                "null_q99": q99,
                 "replicates": r.replicates,
             }
         )

@@ -151,7 +151,7 @@ def decompose_loss(
             f"horizon {probe.horizon}: {probe.n_eval} probe rows, but the "
             f"marginal entropy with k={config.k} needs more than k"
         )
-    outcomes = _jitter(np.asarray(series.values[idx], dtype=float), config.seed)
+    outcomes = _jitter(series.values[idx], config.seed)
     marginal_entropy = kl_entropy(outcomes, k=config.k)
     # scaling by a power of two is exact and keeps the sum from overflowing
     e = _binary_exponent(probe.log_densities)

@@ -9,6 +9,7 @@ finite B and never returns zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,30 +67,25 @@ def permutation_test(
     observed one.  Results are deterministic in (series, spec, config,
     replicates, seed), and extending ``replicates`` never changes null
     samples already drawn.  Horizons whose observed estimate is a gap are
-    omitted from the result list.
+    omitted from the result list.  A shuffled copy has the series' length,
+    and the gap rule depends only on the length, the horizon, p and k, so
+    every null profile has the observed gaps and is kept whole.
     """
     replicates = _integer(replicates, _MIN_REPLICATES, ConfigError,
                           f"need at least {_MIN_REPLICATES} replicates to resolve p <= 0.05")
     seed = _integer(seed, 0, ConfigError, "seed must be a nonnegative integer")
     observed = estimate_profile(series, spec, config)
-    live = observed.horizons_with_data()
-    if not live:
+    if not observed.horizons_with_data():
         return []
-    null_values: dict[int, list[float]] = {h: [] for h in live}
     values = series.values
+    nulls = []
     for b in range(replicates):
         # prefix-stable splitting rule: replicate b shuffles with seed XOR b
         rng = np.random.default_rng(seed ^ b)
         shuffled = TimeSeries(values[rng.permutation(values.size)], name=series.name)
-        null_profile = estimate_profile(shuffled, spec, config)
-        for h in live:
-            null_values[h].append(null_profile.value_at(h))
+        nulls.append(estimate_profile(shuffled, spec, config).values_nats)
     return [
-        SignificanceResult(
-            horizon=h,
-            observed_nats=observed.value_at(h),
-            null_samples=tuple(null_values[h]),
-            seed=seed,
-        )
-        for h in live
+        SignificanceResult(horizon=h, observed_nats=v, null_samples=null, seed=seed)
+        for h, v, null in zip(observed.horizons, observed.values_nats, zip(*nulls))
+        if not math.isnan(v)
     ]

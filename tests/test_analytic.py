@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -209,6 +210,19 @@ class TestProfileFromAcf:
         for p in range(1, 41):
             gaussian_profile_from_acf(rho, p, (1,))
             assert np.array_equal(factored[-1], toeplitz(full[:p]))
+
+    def test_cholesky_factor_is_nested(self):
+        R = toeplitz(np.concatenate([[1.0], seasonal_ar_acf(0.5, 0.8, 12, 39)]))
+        L = analytic._nested_cholesky(R)
+        for m in range(1, 41):
+            assert np.array_equal(analytic._nested_cholesky(R[:m, :m]), L[:m, :m])
+
+    def test_seasonal_profile_bytes_are_pinned(self):
+        prof = gaussian_profile_from_acf(seasonal_ar_acf(0.5, 0.8, 12, 60), 13,
+                                         range(1, 49))
+        digest = hashlib.sha256(np.asarray(prof.values_nats, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "9901c750ffb70751a3d91571762591480ddd60f58966e6ebfc70e95d9d89bedc")
 
     def test_markov_budget_is_zero_for_ar1(self):
         horizons = tuple(range(1, 13))

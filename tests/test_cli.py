@@ -290,6 +290,27 @@ class TestParsing:
         with pytest.raises(ParseError):
             read_series_csv(str(f))
 
+    @pytest.mark.parametrize("reader, text", [
+        (read_series_csv, "value\n1.0\n2.0,3.0\n4.0\nabc\n"),
+        (read_probe_csv, "t,h,ld\n5,1,-1.0\n6,1\n7,1,-2.0\nabc\n"),
+    ], ids=["series", "probe"])
+    def test_first_defect_in_file_order_is_reported(self, tmp_path, reader, text):
+        from forecastability.cli import ParseError
+
+        f = tmp_path / "f.csv"
+        f.write_text(text)
+        bad = re.escape(repr(text.splitlines()[2]))
+        with pytest.raises(ParseError, match=f"malformed row 2: {bad}$"):
+            reader(str(f))
+
+    def test_probe_csv_first_row_width_before_a_later_defect(self, tmp_path):
+        from forecastability.cli import ParseError
+
+        f = tmp_path / "probe.csv"
+        f.write_text("t,h,ld\n5,1\n6,1,-1.0\nabc\n")
+        with pytest.raises(ParseError, match="expected 3 columns, found 2$"):
+            read_probe_csv(str(f))
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes(self, runner, tmp_path):

@@ -8,6 +8,7 @@ from forecastability import (
     InformationSetSpec,
     TimeSeries,
     add_one_p_value,
+    estimate_profile,
     permutation_test,
     simulate,
 )
@@ -105,6 +106,17 @@ class TestPermutationTest:
             series, InformationSetSpec(1, (1, 28)), config, replicates=19, seed=0
         )
         assert [r.horizon for r in results] == [1]
+
+    def test_null_samples_are_the_shuffled_profiles(self, config):
+        series = TimeSeries(np.linspace(0.0, 1.0, 30))
+        spec = InformationSetSpec(1, (1, 3, 28))  # 28 is a gap
+        results = permutation_test(series, spec, config, replicates=19, seed=11)
+        assert [r.horizon for r in results] == [1, 3]
+        for b in range(19):
+            order = np.random.default_rng(11 ^ b).permutation(series.values.size)
+            null = estimate_profile(TimeSeries(series.values[order]), spec, config)
+            for r in results:
+                assert r.null_samples[b] == null.value_at(r.horizon)
 
     def test_all_gaps_gives_empty(self, config):
         series = TimeSeries(np.linspace(0.0, 1.0, 10))
