@@ -25,9 +25,11 @@ Values are reported in nats by default; ``--units bits`` divides by ln 2.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -68,6 +70,8 @@ _EXIT_NO_DATA = 3
 
 # numpy sizes an array in bytes with an intp: the longest float64 array
 _MAX_FLOAT_ARRAY = np.iinfo(np.intp).max // np.dtype(float).itemsize
+# rows of a simulated path formatted and written at a time
+_ROWS_PER_CHUNK = 65_536
 
 # the estimator settings that are not options, recorded in every manifest
 # of an estimating command
@@ -278,17 +282,19 @@ def _json_value(value):
     return value
 
 
-def _write_output(path: str, text: str, manifest: RunManifest | None = None):
-    """Write ``text`` to ``path`` and, given a manifest, its sidecar
-    ``<path>.manifest.json``."""
+def _write_output(path: str, text: str | Iterable[str],
+                  manifest: RunManifest | None = None):
+    """Write ``text``, a string or an iterable of strings written in turn, to
+    ``path`` and, given a manifest, its sidecar ``<path>.manifest.json``."""
     target = Path(path)
-    files = [(target, text)]
+    files = [(target, [text] if isinstance(text, str) else text)]
     if manifest is not None:
         sidecar = target.with_name(target.name + ".manifest.json")
-        files.append((sidecar, json.dumps(asdict(manifest), indent=2) + "\n"))
-    for file, content in files:
+        files.append((sidecar, [json.dumps(asdict(manifest), indent=2) + "\n"]))
+    for file, chunks in files:
         try:
-            file.write_text(content)
+            with file.open("w") as stream:
+                stream.writelines(chunks)
         except OSError as exc:
             raise ParseError(f"cannot write {file}: {exc}") from None
 
@@ -427,10 +433,12 @@ def cmd_simulate(model, phi, Phi, s, sigma2, n, seed, burn_in, out):
     # the recursion keeps min(s, n + burn-in) + 1 past values, but a period
     # beyond any array length is refused like --n
     _at_most("--s", spec.s, _MAX_FLOAT_ARRAY - 2)
-    series = simulate(spec, n=n, seed=seed, burn_in=burn_in)
-    lines = ["value"]
-    lines.extend(map(repr, series.values.tolist()))
-    _write_output(out, "\n".join(lines) + "\n", _command_manifest())
+    values = simulate(spec, n=n, seed=seed, burn_in=burn_in).values
+    # the rows are formatted a chunk at a time, so the text held at once is
+    # bounded whatever --n is
+    rows = ("\n".join(map(repr, values[i:i + _ROWS_PER_CHUNK].tolist())) + "\n"
+            for i in range(0, values.size, _ROWS_PER_CHUNK))
+    _write_output(out, itertools.chain(["value\n"], rows), _command_manifest())
 
 
 @main.command("analytic")

@@ -36,8 +36,9 @@ ball query.  The tests check the distances and every count path bit for bit
 against a brute-force oracle, which pins down the strict-inequality
 counting convention.
 
-Every k-d tree query runs on one thread when the tree holds fewer than
-10 000 values (points times dimensions), and on every core otherwise.
+Outside the pool described below, a k-d tree query runs on one thread
+when the tree holds fewer than 10 000 values (points times dimensions),
+and on every core otherwise.
 Starting threads is a fixed cost per query, which the many small trees of
 a permutation test (a 1000 x 2 joint space, hundreds of times) do not
 repay.  ``query(k=6, p=inf)`` of a tree on its own standard-normal points,
@@ -60,6 +61,21 @@ trees, such as the 14-dimensional joint space of the budget, stay
 threaded.  The thread count never changes a result: each query point is
 answered on its own.
 
+Independent estimates run side by side instead: the horizons of a profile
+or a budget, and the replicates of a permutation test, are tasks on a pool
+of one thread per core (``_map``).  The k-d tree queries and the numpy
+count kernels release the GIL for most of an estimate.  There is one level
+of threads: a task's own queries run on one thread, and an estimate called
+inside a task maps its horizons inline.  A single estimate (a budget at one
+horizon, ``kl_entropy``) keeps the size rule above.  The jitter is drawn
+before mapping and every task is a pure function of its inputs, so the
+results do not depend on the core count.  Each task builds its own lag
+embedding, so the memory held grows with the cores, not the horizons.
+Medians of 10 cold runs of the benchmark on 2 cores (Python 3.11.7): a ``significance``
+run (199 replicates at three horizons, n = 1000) took 1.80 s wall against
+2.42 s serially, and 3.02 s CPU against 2.67 s; of 6 runs, a 36-horizon
+``profile`` at n = 20000 took 2.99 s wall against 3.38 s.
+
 Sample points must be pairwise distinct.  Series-level entry points handle
 this the same way every time: they standardize the series to zero mean and
 unit variance, then add seeded uniform jitter of amplitude 1e-10 (relative
@@ -71,6 +87,8 @@ them.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -114,6 +132,9 @@ _BINS = 32
 # queried on one thread, where starting threads costs more than they save;
 # the module note gives the measured crossover
 _THREADED_VALUES = 10_000
+
+# marks the worker threads of _map's pool
+_pool_thread = threading.local()
 
 # Stirling-series coefficients of -psi'(x) tail in powers of x^-2
 _DIGAMMA_TAIL = (
@@ -213,10 +234,43 @@ def _tree(points: np.ndarray) -> cKDTree:
 
 
 def _workers(tree: cKDTree) -> int:
-    """The ``workers`` argument of a query on the tree: one thread below
-    _THREADED_VALUES stored values, every core above.  The thread count
-    never changes a result."""
-    return 1 if tree.n * tree.m < _THREADED_VALUES else -1
+    """The ``workers`` argument of a query on the tree: one thread inside a
+    ``_map`` worker or below _THREADED_VALUES stored values, every core
+    otherwise.  The thread count never changes a result."""
+    if getattr(_pool_thread, "worker", False) or tree.n * tree.m < _THREADED_VALUES:
+        return 1
+    return -1
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map(func, items) -> list:
+    """``[func(item) for item in items]``, run on a pool of one thread per core.
+
+    It runs inline for fewer than two items, on one core, and inside a
+    worker of its own, so there is one level of threads and an estimate
+    nested in a task never opens a second pool.  ``pool.map`` cancels the
+    pending tasks when one raises (or on KeyboardInterrupt), and the error
+    surfaces unchanged once the running ones finish.
+    concurrent.futures is imported here, on first use.
+    """
+    items = list(items)
+    cores = _cores()
+    if len(items) < 2 or cores < 2 or getattr(_pool_thread, "worker", False):
+        return [func(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(cores, len(items)), initializer=_enter_worker) as pool:
+        return list(pool.map(func, items))
+
+
+def _enter_worker():
+    _pool_thread.worker = True
 
 
 def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
@@ -423,16 +477,21 @@ def _jitter(y: np.ndarray, seed: int) -> np.ndarray:
     return y + np.random.default_rng(seed).uniform(-amplitude, amplitude, size=y.size)
 
 
-def _embedded_horizons(series: TimeSeries, p: int, horizons, config: EstimatorConfig):
-    """Prepare the series once, then yield ``(n_eff, pairs)`` per horizon.
+def _per_horizon(series: TimeSeries, p: int, horizons, config: EstimatorConfig, estimate):
+    """Prepare the series once, then map ``estimate`` over its lag
+    embeddings at (p, h), one task per horizon.
 
-    ``n_eff = n - h - p + 1`` is the effective sample size; ``pairs`` is the
-    lag embedding at (p, h), or None at a gap, where ``n_eff <= k + 1``.
+    Returns ``(n_effs, values)``.  ``n_eff = n - h - p + 1`` is the
+    effective sample size; at a gap, where ``n_eff <= k + 1``, the value is
+    NaN.  The horizons ascend, so the gaps are a suffix and run no task.
+    Each task embeds its own horizon, so the pool holds one embedding per
+    running task, not one per horizon.
     """
     prepared = TimeSeries(_prepare_values(series.values, config.seed))
-    for h in horizons:
-        n_eff = len(series) - h - p + 1
-        yield n_eff, (lag_embed(prepared, p, h) if n_eff > config.k + 1 else None)
+    n_effs = [len(series) - h - p + 1 for h in horizons]
+    live = horizons[:sum(n_eff > config.k + 1 for n_eff in n_effs)]
+    values = _map(lambda h: estimate(lag_embed(prepared, p, h)), live)
+    return n_effs, values + [math.nan] * (len(horizons) - len(live))
 
 
 def estimate_profile(
@@ -447,20 +506,17 @@ def estimate_profile(
     Deterministic given the config seed.
     """
     p = spec.lag_order
-    values: list[float] = []
-    n_effs: list[int] = []
-    for n_eff, pairs in _embedded_horizons(series, p, spec.horizons, config):
-        n_effs.append(max(n_eff, 0))
-        values.append(
-            math.nan if pairs is None
-            else ksg_mutual_information(pairs.past, pairs.future, config.k)
-        )
+    n_effs, values = _per_horizon(
+        series, p, spec.horizons, config,
+        lambda pairs: ksg_mutual_information(pairs.past, pairs.future, config.k),
+    )
     return ForecastabilityProfile(
         horizons=spec.horizons,
         values_nats=tuple(values),
         source="estimated",
         estimator_meta=EstimatorMeta(
-            k=config.k, p=p, n_effective=tuple(n_effs), seed=config.seed
+            k=config.k, p=p, n_effective=tuple(max(n, 0) for n in n_effs),
+            seed=config.seed,
         ),
     )
 
@@ -486,13 +542,12 @@ def finite_window_budget(
     p_small = _integer(p_small, 1, ConfigError, message)
     p_large = _integer(p_large, p_small + 1, ConfigError, message)
     horizons = _ascending_horizons(horizons)
-    deltas = [
-        math.nan if pairs is None
-        else _ksg_conditional_mutual_information(
+    _, deltas = _per_horizon(
+        series, p_large, horizons, config,
+        lambda pairs: _ksg_conditional_mutual_information(
             pairs.past[:, :p_small], pairs.past[:, p_small:], pairs.future, config.k
-        )
-        for _, pairs in _embedded_horizons(series, p_large, horizons, config)
-    ]
+        ),
+    )
     return FiniteWindowBudget(
         horizons=horizons,
         p_small=p_small,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InformationSetSpec, TimeSeries, _integer
-from .estimators import EstimatorConfig, estimate_profile
+from .estimators import EstimatorConfig, _map, estimate_profile
 from .errors import ConfigError
 
 __all__ = ["SignificanceResult", "permutation_test", "add_one_p_value"]
@@ -78,12 +78,14 @@ def permutation_test(
     if not observed.horizons_with_data():
         return []
     values = series.values
-    nulls = []
-    for b in range(replicates):
+
+    def replicate(b):
         # prefix-stable splitting rule: replicate b shuffles with seed XOR b
         rng = np.random.default_rng(seed ^ b)
         shuffled = TimeSeries(values[rng.permutation(values.size)], name=series.name)
-        nulls.append(estimate_profile(shuffled, spec, config).values_nats)
+        return estimate_profile(shuffled, spec, config).values_nats
+
+    nulls = _map(replicate, range(replicates))
     return [
         SignificanceResult(horizon=h, observed_nats=v, null_samples=null, seed=seed)
         for h, v, null in zip(observed.horizons, observed.values_nats, zip(*nulls))

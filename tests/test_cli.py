@@ -204,7 +204,8 @@ def test_command_loads_no_scipy(tmp_path, command, rows):
             *command[1:], "--out", str(out)]
     run_python("-c", "import sys; from forecastability.cli import main; "
                f"main({args!r}, standalone_mode=False); "
-               "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+               "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' "
+               "or m.startswith('concurrent.futures')]; "
                "assert not loaded, loaded", check=True)
     assert out.read_text().count("\n") > rows
 
@@ -320,6 +321,15 @@ class TestSimulateCommand:
         run_ok(runner, args + ["--out", str(a)])
         run_ok(runner, args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10])
+    def test_chunked_rows_are_the_whole_path(self, runner, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 3)
+        out = tmp_path / "sim.csv"
+        run_ok(runner, ["simulate", "--model", "ar1", "--phi", "0.5", "--n", str(n),
+                        "--seed", "2", "--out", str(out)])
+        values = simulate(GaussianProcessSpec.ar1(0.5), n, seed=2).values
+        assert out.read_text() == "value\n" + "".join(f"{v!r}\n" for v in values.tolist())
 
     def test_sample_autocorrelation(self, runner, tmp_path):
         out = tmp_path / "sim.csv"

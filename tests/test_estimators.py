@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from forecastability import (
     finite_window_budget,
     kl_entropy,
     ksg_mutual_information,
+    permutation_test,
     simulate,
     GaussianProcessSpec,
 )
@@ -425,6 +429,104 @@ class TestThreadCount:
         (eps_threaded, counts_threaded), (eps_single, counts_single) = results
         assert np.array_equal(eps_threaded, eps_single)
         assert np.array_equal(counts_threaded, counts_single)
+
+
+class Boom(Exception):
+    pass
+
+
+def count_pools(monkeypatch):
+    """Log the worker count of every pool ``estimators._map`` opens."""
+    log = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            log.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    # _map imports the executor when it opens a pool, so it gets this one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return log
+
+
+class TestThreadPool:
+    def test_the_core_count_never_changes_a_result(self, monkeypatch, config):
+        series = simulate(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12), 400, seed=4)
+        spec = InformationSetSpec(2, (1, 2, 12, 395, 398))  # the last two are gaps
+        results = []
+        for cores in (1, 4):
+            monkeypatch.setattr(estimators, "_cores", lambda: cores)
+            pools = count_pools(monkeypatch)
+            profile = estimate_profile(series, spec, config)
+            budget = finite_window_budget(series, 1, 3, (1, 6, 12), config)
+            null = permutation_test(series, spec, config, replicates=19, seed=3)
+            # gaps run no task: three live horizons, then 19 replicates
+            assert pools == ([] if cores == 1 else [3, 3, 3, 4])
+            results.append(np.array(
+                [*profile.values_nats, *budget.delta_nats,
+                 *(v for r in null for v in (r.observed_nats, *r.null_samples))]
+            ).tobytes())
+        assert results[0] == results[1]
+        assert math.isnan(profile.values_nats[-1]) and len(null) == 3
+
+    def test_estimates_at_once_never_exceed_the_cores(self, monkeypatch, config):
+        cores = 3
+        monkeypatch.setattr(estimators, "_cores", lambda: cores)
+        lock = threading.Lock()
+        running, peak = 0, 0
+        ksg = estimators.ksg_mutual_information
+
+        def counted(*args, **kwargs):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                time.sleep(0.002)  # let the other workers catch up
+                return ksg(*args, **kwargs)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(estimators, "ksg_mutual_information", counted)
+        pools = count_pools(monkeypatch)
+        series = simulate(GaussianProcessSpec.ar1(0.5), 200, seed=2)
+        permutation_test(series, InformationSetSpec(1, (1, 2, 3)), config,
+                         replicates=29, seed=0)
+        # the observed profile's pool, then the replicates' pool: a replicate's
+        # profile runs inline in its worker
+        assert pools == [3, 3]
+        assert 2 <= peak <= cores
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_an_error_in_one_horizon_surfaces_with_its_class(self, monkeypatch, config,
+                                                            cores):
+        monkeypatch.setattr(estimators, "_cores", lambda: cores)
+        ksg = estimators.ksg_mutual_information
+
+        def failing(x, y, k):
+            if len(y) == 300 - 3:  # n_eff at h = 3
+                raise Boom("h = 3")
+            return ksg(x, y, k)
+
+        monkeypatch.setattr(estimators, "ksg_mutual_information", failing)
+        series = simulate(GaussianProcessSpec.ar1(0.5), 300, seed=2)
+        with pytest.raises(Boom, match="h = 3"):
+            estimate_profile(series, InformationSetSpec(1, range(1, 9)), config)
+
+    def test_a_pool_worker_queries_on_one_thread(self, monkeypatch, config):
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        tree = scipy.spatial.cKDTree(np.arange(float(estimators._THREADED_VALUES))[:, None])
+        assert estimators._workers(tree) == -1
+        assert estimators._map(estimators._workers, [tree, tree]) == [1, 1]
+        # a 2-D joint space of 6000 points holds more than _THREADED_VALUES
+        series = simulate(GaussianProcessSpec.ar1(0.5), 6002, seed=2)
+        log = record_workers(monkeypatch)
+        estimate_profile(series, InformationSetSpec(1, (1,)), config)
+        assert log == [("kth", -1)]
+        log.clear()
+        estimate_profile(series, InformationSetSpec(1, (1, 2)), config)
+        assert log == [("kth", 1), ("kth", 1)]
 
 
 class TestCountKernel:
