@@ -256,8 +256,9 @@ def _map(func, items) -> list:
     worker of its own, so there is one level of threads and an estimate
     nested in a task never opens a second pool.  ``pool.map`` cancels the
     pending tasks when one raises (or on KeyboardInterrupt), and the error
-    surfaces unchanged once the running ones finish.
-    concurrent.futures is imported here, on first use.
+    surfaces unchanged once the running ones finish.  concurrent.futures
+    is imported here, on first use, so that commands which estimate nothing
+    do not load it.
     """
     items = list(items)
     cores = _cores()
