@@ -229,7 +229,7 @@ def simulate(
     Innovations are drawn and filtered ``_CHUNK`` at a time, which draws the
     same stream as one call for the whole path.
     """
-    n = _integer(n, 1, ValueError, "n must be an integer >= 1")
+    n = _integer(n, 2, ValueError, "n must be an integer >= 2")
     burn_in = _integer(burn_in, 0, ValueError, "burn_in must be an integer >= 0")
     seed = _integer(seed, 0, ValueError, "seed must be an integer >= 0")
     near, seasonal, far = -spec.phi, -spec.Phi, spec.phi * spec.Phi

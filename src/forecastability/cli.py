@@ -414,7 +414,7 @@ def _gaussian_spec(model: str, phi: float, Phi: float | None, s: int | None,
 @_process_options
 @click.option("--sigma2", type=float, default=1.0, show_default=True,
               help="Innovation variance.")
-@click.option("--n", type=int, required=True, callback=_at_least(1),
+@click.option("--n", type=int, required=True, callback=_at_least(2),
               help="Number of observations to keep.")
 @_seed_option
 @click.option("--burn-in", type=int, default=1000, show_default=True,

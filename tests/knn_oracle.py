@@ -37,19 +37,32 @@ def counts_within(points, radii):
     return counts
 
 
+def joint_radii_and_counts(wide, narrow, k):
+    """The k-th neighbour distance in the joint (wide, narrow) space, and the
+    points strictly inside it in ``wide``, the centre included."""
+    eps = kth_distances(np.hstack([wide, narrow]), k)
+    return eps, counts_within(wide, eps)
+
+
 def kernel_calls_match_oracle(monkeypatch, estimate):
     """Run ``estimate()`` with the neighbour kernels checked against the oracle.
 
     Asserts that every eps array and every count array the estimator
-    computed equals the oracle's on the same input.  Returns the estimate
-    and the kernel names in call order.
+    computed equals the oracle's on the same input: "eps" is a k-th
+    neighbour search, "count" a marginal count, and "joint" the fused
+    query that gives both.  Returns the estimate and the kernel names in
+    call order.
     """
     called = []
 
     def checked(name, kernel, oracle):
         def wrapper(points, *args):
             out = kernel(points, *args)
-            assert np.array_equal(out, oracle(points, *args)), name
+            expected = oracle(points, *args)
+            if name == "joint":
+                assert all(map(np.array_equal, out, expected)), name
+            else:
+                assert np.array_equal(out, expected), name
             called.append(name)
             return out
 
@@ -60,4 +73,6 @@ def kernel_calls_match_oracle(monkeypatch, estimate):
             "eps", estimators._kth_distances, kth_distances))
         patch.setattr(estimators, "_counts_within", checked(
             "count", estimators._counts_within, counts_within))
+        patch.setattr(estimators, "_joint_radii_and_counts", checked(
+            "joint", estimators._joint_radii_and_counts, joint_radii_and_counts))
         return estimate(), called

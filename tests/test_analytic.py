@@ -363,7 +363,7 @@ class TestSimulate:
             simulate(GaussianProcessSpec.ar1(0.5), 0, seed=0)
 
     def test_one_value_is_no_series(self):
-        with pytest.raises(ValueError, match="at least 2 observations"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
             simulate(GaussianProcessSpec.ar1(0.5), 1, seed=0, burn_in=0)
 
     @pytest.mark.parametrize("n,burn_in,seed", [

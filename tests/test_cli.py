@@ -85,6 +85,16 @@ def test_seed_below_zero_exit_2(runner, tmp_path, command):
     assert assert_contract_exit(result, 2) == "error: --seed must be >= 0, got -1"
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_simulate_n_below_two_exit_2(runner, tmp_path, n):
+    # a series needs two values, so one is a usage error, not a traceback
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["simulate", "--model", "ar1", "--phi", "0.5",
+                                  "--n", n, "--out", str(out)])
+    assert assert_contract_exit(result, 2) == f"error: --n must be >= 2, got {n}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "analytic"])
 @pytest.mark.parametrize("flags", [["--Phi", "0.8"], ["--s", "12"],
                                    ["--Phi", "0.8", "--s", "12"]])

@@ -30,7 +30,7 @@ from forecastability import (
 )
 from forecastability import estimators
 from forecastability.estimators import _ksg_conditional_mutual_information
-from knn_oracle import counts_within, kernel_calls_match_oracle
+from knn_oracle import counts_within, joint_radii_and_counts, kernel_calls_match_oracle
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 EULER_GAMMA = 0.5772156649015329
@@ -160,6 +160,13 @@ class TestKsgMutualInformation:
             monkeypatch, lambda: ksg_mutual_information(xm, ym, k=4)
         )
         assert called == ["eps", "count", "count"]
+        # a wide x-marginal: the fused query gives eps and the x-count
+        xw = rng.standard_normal((300, estimators._FUSED_FROM))
+        yw = xw[:, :2] + rng.standard_normal((300, 2))
+        _, called = kernel_calls_match_oracle(
+            monkeypatch, lambda: ksg_mutual_information(xw, yw, k=4)
+        )
+        assert called == ["joint", "count"]
 
     def test_entropy_paths_match_exactly(self, rng, monkeypatch):
         sample = rng.standard_normal((400, 2))
@@ -315,17 +322,35 @@ class TestFiniteWindowBudget:
     ):
         g = np.random.default_rng(7)
         n = 300
-        # exact ties in z, grid values in w (marginal distances land exactly
-        # on eps), one-ulp near-ties in w, and 2**-40 steps keeping y distinct
-        z = g.integers(0, 4, (n, z_cols)).astype(float)
-        w = g.integers(0, 8, (n, 2)) * 0.5
-        w[::3, 0] = np.nextafter(w[::3, 0], np.inf)
-        y = g.integers(0, 16, n) * 0.25 + np.arange(n) * 2.0 ** -40
-        value, called = kernel_calls_match_oracle(
-            monkeypatch, lambda: _ksg_conditional_mutual_information(z, w, y, 4)
+        # a narrow (z, w) takes the k-th search and the count, a wide one the
+        # fused query
+        for w_cols, expected in ((2, ["eps", "count", "count", "count"]),
+                                 (6, ["joint", "count", "count"])):
+            # exact ties in z, grid values in w (marginal distances land exactly
+            # on eps), one-ulp near-ties in w, and 2**-40 steps keeping y distinct
+            z = g.integers(0, 4, (n, z_cols)).astype(float)
+            w = g.integers(0, 8, (n, w_cols)) * 0.5
+            w[::3, 0] = np.nextafter(w[::3, 0], np.inf)
+            y = g.integers(0, 16, n) * 0.25 + np.arange(n) * 2.0 ** -40
+            value, called = kernel_calls_match_oracle(
+                monkeypatch, lambda: _ksg_conditional_mutual_information(z, w, y, 4)
+            )
+            assert math.isfinite(value)
+            assert called == expected
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, (0.28890186631651615, 0.047159367273232666)),
+        (1, (0.2842178228833414, 0.03601765845684035)),
+        (2, (0.26923185849979836, 0.03904565770127655)),
+    ])
+    def test_budget_is_pinned_to_the_last_bit(self, seed, expected, config):
+        # the 14-D joint space and 13-D (z, w) count of criterion 6, small
+        series = simulate(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12), 4000, seed=seed)
+        budget = finite_window_budget(series, 1, 13, (1, 12), config)
+        assert repr(budget) == (
+            f"FiniteWindowBudget(horizons=(1, 12), p_small=1, p_large=13, "
+            f"delta_nats={expected!r})"
         )
-        assert math.isfinite(value)
-        assert called == ["eps", "count", "count", "count"]
 
 
 _R = 1.5
@@ -362,6 +387,30 @@ def _count_inputs(draw):
     fixed = draw(hnp.arrays(float, n, elements=st.sampled_from(_RADII)))
     use_fixed = draw(hnp.arrays(bool, n)) | ~(radii > 0.0)
     return points, np.where(use_fixed, fixed, radii)
+
+
+@st.composite
+def _joint_inputs(draw):
+    """Wide and narrow points, each from one pool, and k.  The narrow points
+    may be made distinct by 2**-40 steps, so that fewer samples hold
+    duplicates; the wide ones may be nearly flat, one value per column
+    moved by at most one ulp, so that almost every point takes the
+    fallback."""
+    n = draw(st.integers(2, 70))
+    k = draw(st.integers(1, n - 1))
+
+    def points(d):
+        pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+        return draw(hnp.arrays(float, (n, d), elements=st.sampled_from(pool)))
+
+    wide, narrow = points(draw(st.integers(1, 3))), points(draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        narrow[:, 0] += np.arange(n) * 2.0 ** -40
+    if draw(st.booleans()):
+        flat = np.broadcast_to(wide[0], wide.shape)
+        nudge = draw(hnp.arrays(np.int8, wide.shape, elements=st.integers(-1, 1)))
+        wide = np.where(nudge == 0, flat, np.nextafter(flat, np.copysign(np.inf, nudge)))
+    return wide, narrow, k
 
 
 def clumped(n, d=3):
@@ -417,18 +466,26 @@ class TestThreadCount:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_the_thread_count_never_changes_a_result(self, monkeypatch, d):
         points, radii = clumped(40 * estimators._BINS, d)
+        # the fused query runs in blocks, the last one short
+        assert len(points) % estimators._BLOCK
+        narrow = radii[:, None]
         results = []
         for threshold, workers in ((0, -1), (2 ** 62, 1)):
             monkeypatch.setattr(estimators, "_THREADED_VALUES", threshold)
             log = record_workers(monkeypatch)
-            results.append((estimators._kth_distances(points, 5),
-                            estimators._counts_within(points, radii)))
+            plain = (estimators._kth_distances(points, 5),
+                     estimators._counts_within(points, radii))
             assert {site for site, _ in log} == (
                 {"kth", "bounded", "ball"} if d >= 3 else {"kth"})
+            fused_from = len(log)
+            fused = estimators._joint_radii_and_counts(points, narrow, 5)
+            # the clump is not certified: its joint k-th search and both count
+            # passes follow the fused query
+            assert {site for site, _ in log[fused_from:]} == {"kth", "bounded", "ball"}
             assert all(w == workers for _, w in log)
-        (eps_threaded, counts_threaded), (eps_single, counts_single) = results
-        assert np.array_equal(eps_threaded, eps_single)
-        assert np.array_equal(counts_threaded, counts_single)
+            results.append((*plain, *fused))
+        threaded, single = results
+        assert all(map(np.array_equal, threaded, single))
 
 
 class Boom(Exception):
@@ -590,3 +647,51 @@ class TestCountKernel:
         _, called = kernel_calls_match_oracle(
             monkeypatch, lambda: estimators._counts_within(points, radii))
         assert called == ["count"]
+
+
+class TestJointKernel:
+    @given(_joint_inputs())
+    # n <= K + 1: every point is a candidate of every other
+    @example((np.array([[0.0], [0.5], [1.0]]), np.array([[1.0], [0.0], [0.5]]), 1))
+    def test_fused_query_matches_the_oracle(self, inputs):
+        wide, narrow, k = inputs
+        eps, counts = joint_radii_and_counts(wide, narrow, k)
+        if np.any(eps == 0.0):
+            with pytest.raises(DegenerateSample):
+                estimators._joint_radii_and_counts(wide, narrow, k)
+        else:
+            assert all(map(np.array_equal, estimators._joint_radii_and_counts(wide, narrow, k),
+                           (eps, counts)))
+
+    def test_a_flat_wide_space_takes_the_fallback(self, monkeypatch):
+        g = np.random.default_rng(5)
+        n = 300
+        wide = np.nextafter(np.ones((n, 3)), g.choice([0.0, 2.0], (n, 3)))
+        narrow = g.standard_normal((n, 2))
+        fallback = []
+        tree_counts = estimators._tree_counts
+
+        def record(tree, centres, radii):
+            fallback.append(len(centres))
+            return tree_counts(tree, centres, radii)
+
+        monkeypatch.setattr(estimators, "_tree_counts", record)
+        (_, counts), called = kernel_calls_match_oracle(
+            monkeypatch, lambda: estimators._joint_radii_and_counts(wide, narrow, 4))
+        assert called == ["joint"] and fallback == [n]
+        assert np.all(counts == n)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_point_left_out_one_ulp_inside_the_radius_is_found(self, order):
+        # k = 1, so the centre 0 holds 17 of the 18 points: itself, 15 nearer
+        # points at joint distance 1, and one of the two tied at the widest
+        # distance d, one ulp below 1.  The one left out may be the only
+        # point closer than 1 in the joint space: the radius the held points
+        # give is then not certified, since d < 1
+        d = np.nextafter(1.0, 0.0)
+        wide = np.concatenate([[0.0], 0.5 * np.arange(1, 16) / 16, [d, -d]])[:, None]
+        narrow = np.concatenate([[0.0], np.ones(15), [0.5, 2.0][::order]])[:, None]
+        eps, counts = estimators._joint_radii_and_counts(wide, narrow, 1)
+        assert all(map(np.array_equal, (eps, counts),
+                       joint_radii_and_counts(wide, narrow, 1)))
+        assert (eps[0], counts[0]) == (d, 16)
