@@ -57,45 +57,25 @@ The tests check the distances and every count path bit for bit against a
 brute-force oracle, which pins down the strict-inequality counting
 convention.
 
-Outside the pool described below, a k-d tree query runs on one thread
-when the tree holds fewer than 10 000 values (points times dimensions),
-and on every core otherwise.
-Starting threads is a fixed cost per query, which the many small trees of
-a permutation test (a 1000 x 2 joint space, hundreds of times) do not
-repay.  ``query(k=6, p=inf)`` of a tree on its own standard-normal points,
-median ms per query, wall / CPU, on 2 cores (numpy 2.4.6, scipy 1.17.1):
-
-     d      n   values   one thread     every core
-     1   1000     1000   0.75 / 0.75    0.94 / 0.92
-     1  10000    10000   10.1 / 10.1     7.4 / 11.5
-     2   1000     2000   1.54 / 1.54    1.27 / 2.12
-     2   5000    10000   8.66 / 8.66    5.32 / 9.68
-     3   3500    10500   9.23 / 9.22    6.11 / 10.5
-    14    300     4200   3.45 / 3.45    2.48 / 4.22
-    14   2000    28000   86.5 / 85.9    50.8 / 90.1
-
-Threads always cost CPU time.  Back to back, they save wall time from a
-few thousand values on when a core is free; inside a permutation test at
-n = 1000 they did not (199 replicates at three horizons: 1.89 s wall on
-one thread against 1.99 s threaded, 1.89 s CPU against 2.24 s).  Large
-trees, such as the 14-dimensional joint space of the budget, stay
-threaded.  The thread count never changes a result: each query point is
-answered on its own.
-
-Independent estimates run side by side instead: the horizons of a profile
-or a budget, and the replicates of a permutation test, are tasks on a pool
-of one thread per core (``_map``).  The k-d tree queries and the numpy
-count kernels release the GIL for most of an estimate.  There is one level
-of threads: a task's own queries run on one thread, and an estimate called
-inside a task maps its horizons inline.  A single estimate (a budget at one
-horizon, ``kl_entropy``) keeps the size rule above.  The jitter is drawn
-before mapping and every task is a pure function of its inputs, so the
-results do not depend on the core count.  Each task builds its own lag
-embedding, so the memory held grows with the cores, not the horizons.
-Medians of 10 cold runs of the benchmark on 2 cores (Python 3.11.7): a ``significance``
-run (199 replicates at three horizons, n = 1000) took 1.80 s wall against
-2.42 s serially, and 3.02 s CPU against 2.67 s; of 6 runs, a 36-horizon
-``profile`` at n = 20000 took 2.99 s wall against 3.38 s.
+Independent estimates run side by side: the horizons of a profile or a
+budget, and the replicates of a permutation test, are tasks on a pool of
+one thread per usable core (``_map``).  The k-d tree queries and the numpy
+count kernels release the GIL for most of an estimate.  One rule
+(``_threads``) sets the thread count of the pool and of every k-d tree
+query: one inside a task, one per usable core everywhere else.  So there is
+one level of threads.  A task's queries run on one thread, and an estimate
+called inside a task maps its horizons inline.  A single estimate (a budget
+at one horizon, ``kl_entropy``) queries on every usable core, at about
+0.2 ms of thread start-up per query, and a process pinned to one core
+starts no thread at all.  The thread count never changes a result: the
+jitter is drawn before mapping, every task is a pure function of its
+inputs, and each query point is answered on its own.  Each task builds its
+own lag embedding, so the memory held grows with the cores, not the
+horizons.  Medians of 10 cold runs of the benchmark on 2 cores (Python
+3.11.7): a ``significance`` run (199 replicates at three horizons,
+n = 1000) took 1.80 s wall against 2.42 s serially, and 3.02 s CPU against
+2.67 s; of 6 runs, a 36-horizon ``profile`` at n = 20000 took 2.99 s wall
+against 3.38 s.
 
 Sample points must be pairwise distinct.  Series-level entry points handle
 this the same way every time: they standardize the series to zero mean and
@@ -155,11 +135,6 @@ _BINS = 32
 _FUSED_FROM = 7
 _FUSED_SLOTS = 16
 _BLOCK = 1024
-
-# a k-d tree holding fewer values (points times dimensions) than this is
-# queried on one thread, where starting threads costs more than they save;
-# the module note gives the measured crossover
-_THREADED_VALUES = 10_000
 
 # marks the worker threads of _map's pool
 _pool_thread = threading.local()
@@ -261,15 +236,6 @@ def _tree(points: np.ndarray) -> cKDTree:
     return cKDTree(points)
 
 
-def _workers(tree: cKDTree) -> int:
-    """The ``workers`` argument of a query on the tree: one thread inside a
-    ``_map`` worker or below _THREADED_VALUES stored values, every core
-    otherwise.  The thread count never changes a result."""
-    if getattr(_pool_thread, "worker", False) or tree.n * tree.m < _THREADED_VALUES:
-        return 1
-    return -1
-
-
 def _cores() -> int:
     """The number of cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -277,24 +243,31 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _threads() -> int:
+    """The thread count of a ``_map`` pool or a k-d tree query: 1 inside a
+    ``_map`` worker, so there is one level of threads, and ``_cores()``
+    everywhere else.  The thread count never changes a result."""
+    return 1 if getattr(_pool_thread, "worker", False) else _cores()
+
+
 def _map(func, items) -> list:
-    """``[func(item) for item in items]``, run on a pool of one thread per core.
+    """``[func(item) for item in items]``, run on a pool of ``_threads()``
+    threads, at most one per item.
 
     It runs inline for fewer than two items, on one core, and inside a
-    worker of its own, so there is one level of threads and an estimate
-    nested in a task never opens a second pool.  ``pool.map`` cancels the
-    pending tasks when one raises (or on KeyboardInterrupt), and the error
-    surfaces unchanged once the running ones finish.  concurrent.futures
-    is imported here, on first use, so that commands which estimate nothing
-    do not load it.
+    worker of its own, so an estimate nested in a task never opens a
+    second pool.  ``pool.map`` cancels the pending tasks when one raises
+    (or on KeyboardInterrupt), and the error surfaces unchanged once the
+    running ones finish.  concurrent.futures is imported here, on first
+    use, so that commands which estimate nothing do not load it.
     """
     items = list(items)
-    cores = _cores()
-    if len(items) < 2 or cores < 2 or getattr(_pool_thread, "worker", False):
+    threads = min(_threads(), len(items))
+    if threads < 2:
         return [func(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(cores, len(items)), initializer=_enter_worker) as pool:
+    with ThreadPoolExecutor(threads, initializer=_enter_worker) as pool:
         return list(pool.map(func, items))
 
 
@@ -329,7 +302,7 @@ def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
 
 def _kth_query(tree: cKDTree, centres: np.ndarray, k: int) -> np.ndarray:
     """Distance from each centre to its (k+1)-th nearest point of ``tree``."""
-    dists, _ = tree.query(centres, k=k + 1, p=np.inf, workers=_workers(tree))
+    dists, _ = tree.query(centres, k=k + 1, p=np.inf, workers=_threads())
     return dists[:, k]
 
 
@@ -362,7 +335,7 @@ def _joint_radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
     certified = np.empty(n, dtype=bool)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        dists, idx = tree.query(wide[block], k=slots, p=np.inf, workers=_workers(tree))
+        dists, idx = tree.query(wide[block], k=slots, p=np.inf, workers=_threads())
         gaps = narrow[idx]
         gaps -= narrow[block, None, :]
         joint = np.abs(gaps, out=gaps).max(axis=2)
@@ -480,16 +453,16 @@ def _bounded_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray,
     its ``slots`` nearest neighbours; a count of ``slots`` may be short."""
     bound = np.nextafter(radii.max(), np.inf)
     dists, _ = tree.query(centres, k=slots, p=np.inf,
-                          distance_upper_bound=bound, workers=_workers(tree))
+                          distance_upper_bound=bound, workers=_threads())
     dists = dists.reshape(len(centres), slots)
-    return np.count_nonzero(dists <= np.nextafter(radii, 0.0)[:, None], axis=1)
+    return np.count_nonzero(dists < radii[:, None], axis=1)
 
 
 def _ball_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Points of ``tree`` strictly inside each centre's ball, from the ball query."""
     return tree.query_ball_point(
         centres, np.nextafter(radii, 0.0), p=np.inf,
-        workers=_workers(tree), return_length=True,
+        workers=_threads(), return_length=True,
     )
 
 

@@ -10,6 +10,7 @@ finite B and never returns zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,13 @@ def permutation_test(
     samples already drawn.  Horizons whose observed estimate is a gap are
     omitted from the result list.  A shuffled copy has the series' length,
     and the gap rule depends only on the length, the horizon, p and k, so
-    every null profile has the observed gaps and is kept whole.
+    every null profile has the observed gaps and is kept whole.  More
+    replicates than ``sys.maxsize`` cannot be indexed and are refused.
     """
     replicates = _integer(replicates, _MIN_REPLICATES, ConfigError,
                           f"need at least {_MIN_REPLICATES} replicates to resolve p <= 0.05")
+    if replicates > sys.maxsize:
+        raise ConfigError(f"replicates must be <= {sys.maxsize}, got {replicates}")
     seed = _integer(seed, 0, ConfigError, "seed must be a nonnegative integer")
     observed = estimate_profile(series, spec, config)
     if not observed.horizons_with_data():

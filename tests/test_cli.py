@@ -583,6 +583,16 @@ class TestSignificanceCommand:
                                       "--replicates", "5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("replicates", [2 ** 63, 10 ** 22])
+    def test_replicates_beyond_sys_maxsize_exit_2(self, runner, tmp_path, replicates):
+        data = tmp_path / "ar.csv"
+        run_ok(runner, ["simulate", "--model", "ar1", "--phi", "0.5", "--n", "300",
+                        "--seed", "0", "--out", str(data)])
+        result = runner.invoke(main, ["significance", str(data), "--horizons", "1",
+                                      "--replicates", str(replicates)])
+        message = assert_contract_exit(result, 2)
+        assert message == f"error: replicates must be <= {sys.maxsize}, got {replicates}"
+
     def test_all_gaps_exit_3(self, runner, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text("\n".join(str(float(v)) for v in range(10)) + "\n")

@@ -425,12 +425,14 @@ def clumped(n, d=3):
 
 def record_workers(monkeypatch):
     """Log ``(site, workers)`` for every k-d tree query the estimators make;
-    the site is "kth", "bounded" or "ball"."""
+    the site is "fused" for a query holding _FUSED_SLOTS + 1 neighbours (so
+    k must not be _FUSED_SLOTS), else "kth", "bounded" or "ball"."""
     log = []
 
     class Tree(scipy.spatial.cKDTree):
         def query(self, x, k, **kwargs):
-            site = "bounded" if "distance_upper_bound" in kwargs else "kth"
+            site = ("bounded" if "distance_upper_bound" in kwargs
+                    else "fused" if k == estimators._FUSED_SLOTS + 1 else "kth")
             log.append((site, kwargs["workers"]))
             return super().query(x, k, **kwargs)
 
@@ -445,6 +447,7 @@ def record_workers(monkeypatch):
 
 class TestThreadCount:
     def test_a_small_ksg_runs_single_threaded(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_cores", lambda: 1)
         log = record_workers(monkeypatch)
         x, y = gaussian_pair(0.6, 1000, 0)
         ksg_mutual_information(x, y, k=5)
@@ -457,11 +460,14 @@ class TestThreadCount:
         assert all(workers == 1 for _, workers in log)
 
     def test_a_large_count_tree_stays_threaded(self, monkeypatch):
-        points, radii = clumped(estimators._THREADED_VALUES // 3 + 1)
-        log = record_workers(monkeypatch)
-        estimators._counts_within(points, radii)
-        assert {site for site, _ in log} == {"bounded", "ball"}
-        assert all(workers == -1 for _, workers in log)
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        # the tree size does not matter: 300 values or 12 000
+        for n in (100, 4000):
+            points, radii = clumped(n)
+            log = record_workers(monkeypatch)
+            estimators._counts_within(points, radii)
+            assert {site for site, _ in log} == {"bounded", "ball"}
+            assert all(workers == 2 for _, workers in log)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_the_thread_count_never_changes_a_result(self, monkeypatch, d):
@@ -470,8 +476,8 @@ class TestThreadCount:
         assert len(points) % estimators._BLOCK
         narrow = radii[:, None]
         results = []
-        for threshold, workers in ((0, -1), (2 ** 62, 1)):
-            monkeypatch.setattr(estimators, "_THREADED_VALUES", threshold)
+        for cores in (3, 1):
+            monkeypatch.setattr(estimators, "_cores", lambda: cores)
             log = record_workers(monkeypatch)
             plain = (estimators._kth_distances(points, 5),
                      estimators._counts_within(points, radii))
@@ -481,8 +487,9 @@ class TestThreadCount:
             fused = estimators._joint_radii_and_counts(points, narrow, 5)
             # the clump is not certified: its joint k-th search and both count
             # passes follow the fused query
-            assert {site for site, _ in log[fused_from:]} == {"kth", "bounded", "ball"}
-            assert all(w == workers for _, w in log)
+            assert {site for site, _ in log[fused_from:]} == {
+                "fused", "kth", "bounded", "ball"}
+            assert all(w == cores for _, w in log)
             results.append((*plain, *fused))
         threaded, single = results
         assert all(map(np.array_equal, threaded, single))
@@ -572,18 +579,18 @@ class TestThreadPool:
             estimate_profile(series, InformationSetSpec(1, range(1, 9)), config)
 
     def test_a_pool_worker_queries_on_one_thread(self, monkeypatch, config):
-        monkeypatch.setattr(estimators, "_cores", lambda: 2)
-        tree = scipy.spatial.cKDTree(np.arange(float(estimators._THREADED_VALUES))[:, None])
-        assert estimators._workers(tree) == -1
-        assert estimators._map(estimators._workers, [tree, tree]) == [1, 1]
-        # a 2-D joint space of 6000 points holds more than _THREADED_VALUES
-        series = simulate(GaussianProcessSpec.ar1(0.5), 6002, seed=2)
-        log = record_workers(monkeypatch)
-        estimate_profile(series, InformationSetSpec(1, (1,)), config)
-        assert log == [("kth", -1)]
-        log.clear()
-        estimate_profile(series, InformationSetSpec(1, (1, 2)), config)
-        assert log == [("kth", 1), ("kth", 1)]
+        series = simulate(GaussianProcessSpec.ar1(0.5), 302, seed=2)
+        for cores in (1, 2):
+            monkeypatch.setattr(estimators, "_cores", lambda: cores)
+            assert estimators._threads() == cores
+            assert estimators._map(lambda _: estimators._threads(), [0, 0]) == [1, 1]
+            # one horizon runs inline, outside a pool
+            log = record_workers(monkeypatch)
+            estimate_profile(series, InformationSetSpec(1, (1,)), config)
+            assert log == [("kth", cores)]
+            log.clear()
+            estimate_profile(series, InformationSetSpec(1, (1, 2)), config)
+            assert log == [("kth", 1), ("kth", 1)]
 
 
 class TestCountKernel:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ class TestPermutationTest:
             permutation_test(
                 white_noise, InformationSetSpec(1, (1,)), config, replicates=19.5, seed=0
             )
+
+    @pytest.mark.parametrize("replicates", [2 ** 63, 10 ** 22])
+    def test_replicates_beyond_sys_maxsize_rejected(self, white_noise, config, replicates):
+        with pytest.raises(ConfigError, match=f"replicates must be <= {sys.maxsize}"):
+            permutation_test(white_noise, InformationSetSpec(1, (1,)), config,
+                             replicates=replicates, seed=0)
 
     def test_negative_seed_rejected(self, white_noise, config):
         with pytest.raises(ConfigError):
