@@ -43,15 +43,25 @@ point itself; ``eps_i`` is the k-th smallest joint distance among them, and
 the count is the number with ``d_wide < eps_i``.  Both are exact when the
 farthest of them lies at ``eps_i`` or beyond in the wide space: every
 other point is at least as far there, so it can neither come closer in the
-joint space nor fall strictly inside the ball.  The points without this
-certificate (699 of 19976 in the budget at n = 20000, h = 12; 27 % of the
-x-marginal at p = 7) take the path above for themselves alone: a k-th
-search of the joint tree, then the two-pass count on the wide tree.  That
-budget took 2.17 s against 2.79 s wall and 3.8 s against 5.1 s CPU
-(medians of 8 alternating in-process calls, 2 cores).  Below seven
-dimensions too few points are certified for the fused query to pay: at
-n = 20000, h = 1 one KSG took 382 ms against 312 ms at p = 3 and 778 ms
-against 774 ms at p = 6, but 963 ms against 1056 ms at p = 7.
+joint space nor fall strictly inside the ball.  A point without this
+certificate is queried again on the same tree, holding four times as many
+neighbours (68, 272, ...), until it is certified or holds all N points,
+where the answer is exact by construction.  A widened pass queries fewer
+points at a time, down to one, so that a query holds no more neighbours
+than a first block of 1024 points, or than one point's list.  In the
+budget at n = 20000, h = 12 (seed 0), 699 of 19976 points widen; 683 are
+certified at 68 neighbours and the other 16 at 272.  Below seven
+dimensions the fused query wins on small samples, but on large ones only
+from six dimensions on.  At h = 1 (medians of 11 alternating in-process
+calls at n = 20000 and 41 at n = 1000, 2 cores), one KSG took, fused
+against unfused:
+
+    p              3        4        5        6        7
+    n = 20000    418/294  426/337  492/459  528/587  750/911 ms
+    n = 1000      14/15    11/19    11/23    11/24    11/22  ms
+
+The fused query starts at seven dimensions until a benchmark workload
+covers profiles at p = 3 to 6.
 
 The tests check the distances and every count path bit for bit against a
 brute-force oracle, which pins down the strict-inequality counting
@@ -130,8 +140,9 @@ _SLOTS = 32
 _BINS = 32
 
 # from this many dimensions of the wider space on, the joint k-th search and
-# its count run as one fused k-NN query holding _FUSED_SLOTS neighbours per
-# point, in blocks of _BLOCK points
+# its count run as one fused k-NN query of the wide tree holding _FUSED_SLOTS
+# neighbours per point, in blocks of _BLOCK points, then four times as many
+# for each point not yet certified
 _FUSED_FROM = 7
 _FUSED_SLOTS = 16
 _BLOCK = 1024
@@ -225,6 +236,8 @@ def _as_points(sample) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError("sample must be a nonempty (N,) or (N, d) array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sample values must be finite (no NaN/inf)")
     return np.ascontiguousarray(pts)
 
 
@@ -297,13 +310,8 @@ def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
     (self excluded); ConfigError unless k is an integer with ``1 <= k < N``,
     and a zero distance (duplicate points) is rejected."""
     k = _checked_k(k, len(points))
-    return _nonzero(_kth_query(_tree(points), points, k))
-
-
-def _kth_query(tree: cKDTree, centres: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each centre to its (k+1)-th nearest point of ``tree``."""
-    dists, _ = tree.query(centres, k=k + 1, p=np.inf, workers=_threads())
-    return dists[:, k]
+    dists, _ = _tree(points).query(points, k=k + 1, p=np.inf, workers=_threads())
+    return _nonzero(dists[:, k])
 
 
 def _radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
@@ -321,33 +329,36 @@ def _joint_radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
     joint (wide, narrow) space, and the number of points strictly inside it
     in ``wide``, the centre included; both equal
     ``_kth_distances(hstack([wide, narrow]), k)`` and
-    ``_counts_within(wide, eps)`` bit for bit.  The query holds each
+    ``_counts_within(wide, eps)`` bit for bit.  The first query holds each
     point's K+1 nearest neighbours in ``wide``, itself included, with
-    ``K = max(_FUSED_SLOTS, k)`` clamped to N - 1; the module note gives
-    the certificate and the fallback.
+    ``K = max(_FUSED_SLOTS, k)`` clamped to N - 1; each point without the
+    certificate of the module note is queried again holding four times as
+    many, up to all N points, in blocks that hold no more neighbours than
+    a first block of _BLOCK points, or than one point's list.
     """
     n = len(wide)
     k = _checked_k(k, n)
-    slots = min(max(_FUSED_SLOTS, k), n - 1) + 1
     tree = _tree(wide)
     eps = np.empty(n)
     counts = np.empty(n, dtype=np.intp)
-    certified = np.empty(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        dists, idx = tree.query(wide[block], k=slots, p=np.inf, workers=_threads())
-        gaps = narrow[idx]
-        gaps -= narrow[block, None, :]
-        joint = np.abs(gaps, out=gaps).max(axis=2)
-        np.maximum(joint, dists, out=joint)
-        eps[block] = np.partition(joint, k, axis=1)[:, k]
-        counts[block] = np.count_nonzero(dists < eps[block, None], axis=1)
-        certified[block] = dists[:, -1] >= eps[block]
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        joint = np.hstack([wide, narrow])
-        eps[rest] = _kth_query(_tree(joint), joint[rest], k)
-        counts[rest] = _tree_counts(tree, wide[rest], _nonzero(eps[rest]))
+    todo = np.arange(n)
+    slots = min(max(_FUSED_SLOTS, k), n - 1) + 1
+    while todo.size:
+        rows = max(1, _BLOCK * (_FUSED_SLOTS + 1) // slots)
+        farthest = np.empty(len(todo))
+        for start in range(0, len(todo), rows):
+            block = todo[start:start + rows]
+            dists, idx = tree.query(wide[block], k=slots, p=np.inf, workers=_threads())
+            gaps = narrow[idx]
+            gaps -= narrow[block, None, :]
+            joint = np.abs(gaps, out=gaps).max(axis=2)
+            np.maximum(joint, dists, out=joint)
+            eps[block] = np.partition(joint, k, axis=1)[:, k]
+            counts[block] = np.count_nonzero(dists < eps[block, None], axis=1)
+            farthest[start:start + rows] = dists[:, -1]
+        # a point that holds all n points needs no certificate
+        todo = todo[farthest < eps[todo]] if slots < n else todo[:0]
+        slots = min(4 * slots, n)
     return _nonzero(eps), counts
 
 
@@ -355,28 +366,24 @@ def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of points strictly inside the max-norm ball of each point
     (the centre point itself included in the count); radii must be > 0.
     The three paths, all exact, are described in the module note: sorted
-    1-D runs, rank-space 2-D rectangles, and from d = 3 bounded k-NN with a
-    ball-query second pass."""
+    1-D runs, rank-space 2-D rectangles, and from d = 3 two k-d tree
+    passes: the points sorted by radius into _BINS bins, each a bounded
+    k-NN query, then one ball query for the points that filled all _SLOTS
+    slots."""
     if points.shape[1] == 1:
         lo, hi = _ball_runs(points[:, 0], radii)
         return hi - lo
     if points.shape[1] == 2:
         return _rank_counts(points, radii)
-    return _tree_counts(_tree(points), points, radii)
-
-
-def _tree_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Points of ``tree`` strictly inside each centre's ball, in two passes:
-    the centres sorted by radius into _BINS bins, each a bounded k-NN query,
-    then one ball query for the centres that filled all _SLOTS slots."""
-    slots = min(_SLOTS, tree.n)
-    counts = np.empty(len(centres), dtype=np.intp)
+    tree = _tree(points)
+    slots = min(_SLOTS, len(points))
+    counts = np.empty(len(points), dtype=np.intp)
     order = np.argsort(radii, kind="stable")
-    for members in np.array_split(order, min(_BINS, len(centres))):
-        counts[members] = _bounded_counts(tree, centres[members], radii[members], slots)
+    for members in np.array_split(order, min(_BINS, len(points))):
+        counts[members] = _bounded_counts(tree, points[members], radii[members], slots)
     ball = np.flatnonzero(counts == slots)
     if ball.size:
-        counts[ball] = _ball_counts(tree, centres[ball], radii[ball])
+        counts[ball] = _ball_counts(tree, points[ball], radii[ball])
     return counts
 
 

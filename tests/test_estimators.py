@@ -193,6 +193,23 @@ class TestKsgMutualInformation:
         with pytest.raises(DegenerateSample):
             ksg_mutual_information(dup, dup, k=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_non_finite_samples_are_refused_before_any_tree(self, monkeypatch, bad, where, d):
+        g = np.random.default_rng(6)
+        x, y = g.standard_normal((500, d)), g.standard_normal((500, d))
+        (x if where == "x" else y)[123, -1] = bad
+
+        def unused(points):
+            raise AssertionError("a k-d tree was built on non-finite points")
+
+        monkeypatch.setattr(estimators, "_tree", unused)
+        with pytest.raises(ValueError, match="finite"):
+            ksg_mutual_information(x, y, k=5)
+        with pytest.raises(ValueError, match="finite"):
+            kl_entropy(x if where == "x" else y, k=5)
+
 
 class TestEstimateProfile:
     def test_ar1_tracks_closed_form(self, ar1_strong, config):
@@ -352,6 +369,18 @@ class TestFiniteWindowBudget:
             f"delta_nats={expected!r})"
         )
 
+    @pytest.mark.parametrize("seed, expected", [
+        (0, 0.025090226732240373),
+        (1, 0.02731130292836159),
+        (2, 0.02311008117638802),
+    ])
+    def test_the_fused_budget_is_pinned_at_n_20000(self, seed, expected, config):
+        # criterion 6 at full size: about 3 % of the 19 976 points widen the
+        # fused query, which a sample of 4000 points exercises less
+        series = simulate(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12), 20_000, seed=seed)
+        budget = finite_window_budget(series, 1, 13, (12,), config)
+        assert budget.delta_nats == (expected,)
+
 
 _R = 1.5
 # value pools whose max-norm distances land exactly on the radii or one ulp
@@ -394,8 +423,8 @@ def _joint_inputs(draw):
     """Wide and narrow points, each from one pool, and k.  The narrow points
     may be made distinct by 2**-40 steps, so that fewer samples hold
     duplicates; the wide ones may be nearly flat, one value per column
-    moved by at most one ulp, so that almost every point takes the
-    fallback."""
+    moved by at most one ulp, so that almost every point widens its
+    query to all n points."""
     n = draw(st.integers(2, 70))
     k = draw(st.integers(1, n - 1))
 
@@ -423,17 +452,23 @@ def clumped(n, d=3):
     return points, g.permutation(np.geomspace(1e-4, 2.0, n))
 
 
-def record_workers(monkeypatch):
+def record_workers(monkeypatch, held=None):
     """Log ``(site, workers)`` for every k-d tree query the estimators make;
-    the site is "fused" for a query holding _FUSED_SLOTS + 1 neighbours (so
-    k must not be _FUSED_SLOTS), else "kth", "bounded" or "ball"."""
+    the site is "fused" for a query holding one of the fused query's
+    neighbour counts (_FUSED_SLOTS + 1, then four times as many at each
+    widening, clamped to the tree size; so k + 1 must be none of them),
+    else "kth", "bounded" or "ball".  A k-NN query also appends its
+    ``(rows, neighbours)`` to the list ``held``, if one is given."""
     log = []
 
     class Tree(scipy.spatial.cKDTree):
         def query(self, x, k, **kwargs):
+            widths = {min((estimators._FUSED_SLOTS + 1) * 4 ** j, self.n) for j in range(16)}
             site = ("bounded" if "distance_upper_bound" in kwargs
-                    else "fused" if k == estimators._FUSED_SLOTS + 1 else "kth")
+                    else "fused" if k in widths else "kth")
             log.append((site, kwargs["workers"]))
+            if held is not None:
+                held.append((len(x), k))
             return super().query(x, k, **kwargs)
 
         def query_ball_point(self, x, r, **kwargs):
@@ -478,17 +513,18 @@ class TestThreadCount:
         results = []
         for cores in (3, 1):
             monkeypatch.setattr(estimators, "_cores", lambda: cores)
-            log = record_workers(monkeypatch)
+            held = []
+            log = record_workers(monkeypatch, held)
             plain = (estimators._kth_distances(points, 5),
                      estimators._counts_within(points, radii))
             assert {site for site, _ in log} == (
                 {"kth", "bounded", "ball"} if d >= 3 else {"kth"})
-            fused_from = len(log)
+            fused_from, widths_from = len(log), len(held)
             fused = estimators._joint_radii_and_counts(points, narrow, 5)
-            # the clump is not certified: its joint k-th search and both count
-            # passes follow the fused query
-            assert {site for site, _ in log[fused_from:]} == {
-                "fused", "kth", "bounded", "ball"}
+            # the clump is not certified: it widens its fused query, on the
+            # same tree, and no other query runs
+            assert {site for site, _ in log[fused_from:]} == {"fused"}
+            assert max(k for _, k in held[widths_from:]) > estimators._FUSED_SLOTS + 1
             assert all(w == cores for _, w in log)
             results.append((*plain, *fused))
         threaded, single = results
@@ -670,23 +706,39 @@ class TestJointKernel:
             assert all(map(np.array_equal, estimators._joint_radii_and_counts(wide, narrow, k),
                            (eps, counts)))
 
-    def test_a_flat_wide_space_takes_the_fallback(self, monkeypatch):
+    def test_a_flat_wide_space_widens_to_every_point(self, monkeypatch):
         g = np.random.default_rng(5)
         n = 300
         wide = np.nextafter(np.ones((n, 3)), g.choice([0.0, 2.0], (n, 3)))
         narrow = g.standard_normal((n, 2))
-        fallback = []
-        tree_counts = estimators._tree_counts
+        held, trees = [], []
+        log = record_workers(monkeypatch, held)
+        build = estimators._tree
 
-        def record(tree, centres, radii):
-            fallback.append(len(centres))
-            return tree_counts(tree, centres, radii)
+        def tree(points):
+            trees.append(points.shape)
+            return build(points)
 
-        monkeypatch.setattr(estimators, "_tree_counts", record)
+        monkeypatch.setattr(estimators, "_tree", tree)
         (_, counts), called = kernel_calls_match_oracle(
             monkeypatch, lambda: estimators._joint_radii_and_counts(wide, narrow, 4))
-        assert called == ["joint"] and fallback == [n]
+        # one tree, on the wide points, answers every query
+        assert called == ["joint"] and trees == [wide.shape]
+        assert {site for site, _ in log} == {"fused"}
         assert np.all(counts == n)
+        # no point is certified until it holds all n points, and every stage
+        # queries every point
+        stages = {}
+        for rows, k in held:
+            stages.setdefault(k, []).append(rows)
+        first = estimators._FUSED_SLOTS + 1
+        assert list(stages) == [first, 4 * first, 16 * first, n]
+        assert all(sum(rows) == n for rows in stages.values())
+        # the last stage runs in more than one block, and no query holds
+        # more neighbours than a first block
+        assert len(stages[n]) > 1
+        assert max(rows * k for rows, k in held) <= estimators._BLOCK * (
+            estimators._FUSED_SLOTS + 1)
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_a_point_left_out_one_ulp_inside_the_radius_is_found(self, order):
