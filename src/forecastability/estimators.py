@@ -11,7 +11,8 @@ the points whose x-marginal distance is strictly below ``eps_i``, and
 
 The truncation budget is the conditional mutual information I(w; y | z) of
 the extra lags w given the leading lags z, estimated in the same style
-(Frenzel & Pompe, PRL 99, 204101, 2007): ``eps_i`` is taken in the joint
+(Frenzel & Pompe, PRL 99, 204101, 2007) on the lag window itself, which is
+(z, w), and z its first p_small columns.  ``eps_i`` is taken in the joint
 (z, w, y) space and the (z, w), (z, y) and z marginals count within it,
 
     delta_hat = psi(k) - mean_i[ psi(n_zw(i)+1) + psi(n_zy(i)+1) - psi(n_z(i)+1) ],
@@ -503,19 +504,17 @@ def ksg_mutual_information(x, y, k: int = 5) -> float:
     )
 
 
-def _ksg_conditional_mutual_information(z, w, y, k: int) -> float:
-    """KSG-style conditional mutual information I(w; y | z) in nats.
-
-    ``eps_i`` is the k-th neighbour distance in the joint (z, w, y) space;
-    the (z, w), (z, y) and z marginals count the points strictly inside it
-    under the same convention as ``ksg_mutual_information``, so the
-    dimension-dependent biases of the three neighbourhoods largely cancel.
+def _ksg_conditional_mutual_information(window, p_small: int, y, k: int) -> float:
+    """KSG-style conditional mutual information I(w; y | z) in nats, as in
+    the module note: (z, w) is the lag ``window`` and z a view of its
+    leading ``p_small`` columns, so neither is copied.
     """
-    zs, ws, ys = _as_points(z), _as_points(w), _as_points(y)
+    zw, ys = _as_points(window), _as_points(y)
+    z = zw[:, :p_small]
     # counts include the centre point, i.e. equal n + 1 in the estimator
-    eps, n_zw = _radii_and_counts(np.hstack([zs, ws]), ys, k)
-    n_zy = _counts_within(np.hstack([zs, ys]), eps)
-    n_z = _counts_within(zs, eps)
+    eps, n_zw = _radii_and_counts(zw, ys, k)
+    n_zy = _counts_within(np.hstack([z, ys]), eps)
+    n_z = _counts_within(z, eps)
     return float(
         digamma(k) - np.mean(digamma(n_zw) + digamma(n_zy) - digamma(n_z))
     )
@@ -602,13 +601,13 @@ def finite_window_budget(
 ) -> FiniteWindowBudget:
     """Estimate the information lost by truncating the window to p_small lags.
 
-    The series is lag-embedded at p_large; the leading p_small columns are
-    the conditioning lags z, the remaining columns the extra lags w.  Each
-    delta is the KSG-style conditional mutual information I(w; future | z),
-    which by the chain rule equals F(h; p_large) - F(h; p_small) in
-    population.  Horizons whose effective sample size
-    ``n - h - p_large + 1`` does not exceed ``k + 1`` get a NaN gap marker.
-    Deterministic given the config seed.
+    The series is lag-embedded at p_large, and that window is the (z, w)
+    block: its leading p_small columns are the conditioning lags z, the rest
+    the extra lags w.  Each delta is the KSG-style conditional mutual
+    information I(w; future | z), which by the chain rule equals
+    F(h; p_large) - F(h; p_small) in population.  Horizons whose effective
+    sample size ``n - h - p_large + 1`` does not exceed ``k + 1`` get a NaN
+    gap marker.  Deterministic given the config seed.
     """
     message = "need integers 1 <= p_small < p_large"
     p_small = _integer(p_small, 1, ConfigError, message)
@@ -617,7 +616,7 @@ def finite_window_budget(
     _, deltas = _per_horizon(
         series, p_large, horizons, config,
         lambda pairs: _ksg_conditional_mutual_information(
-            pairs.past[:, :p_small], pairs.past[:, p_small:], pairs.future, config.k
+            pairs.past, p_small, pairs.future, config.k
         ),
     )
     return FiniteWindowBudget(

@@ -350,7 +350,8 @@ class TestFiniteWindowBudget:
             w[::3, 0] = np.nextafter(w[::3, 0], np.inf)
             y = g.integers(0, 16, n) * 0.25 + np.arange(n) * 2.0 ** -40
             value, called = kernel_calls_match_oracle(
-                monkeypatch, lambda: _ksg_conditional_mutual_information(z, w, y, 4)
+                monkeypatch,
+                lambda: _ksg_conditional_mutual_information(np.hstack([z, w]), z_cols, y, 4),
             )
             assert math.isfinite(value)
             assert called == expected
@@ -367,6 +368,30 @@ class TestFiniteWindowBudget:
         assert repr(budget) == (
             f"FiniteWindowBudget(horizons=(1, 12), p_small=1, p_large=13, "
             f"delta_nats={expected!r})"
+        )
+
+    @pytest.mark.parametrize("p_small, p_large, seed, expected", [
+        (2, 13, 0, (0.2880870704883547, 0.04673601954185491)),
+        (2, 13, 1, (0.2846517388915424, 0.033501965354645336)),
+        (2, 13, 2, (0.2667914008798713, 0.03537440870812869)),
+        (3, 13, 0, (0.28626133723058156, 0.04635439475213787)),
+        (3, 13, 1, (0.2837423855742751, 0.03278432483218552)),
+        (3, 13, 2, (0.26427847563895956, 0.03501137130376786)),
+        (6, 8, 0, (0.04300163083080677, 0.015567892283003815)),
+        (6, 8, 1, (0.040628798457973625, 0.0028601092561397756)),
+        (6, 8, 2, (0.03336742095838163, 0.01249263985127258)),
+    ])
+    def test_budget_beyond_one_conditioning_lag_is_pinned_to_the_last_bit(
+        self, p_small, p_large, seed, expected, config
+    ):
+        # z is a strided view of the window: a 2-D rank count on z and a 3-D
+        # (z, y) count at p_small = 2, k-d tree counts on both from 3 on, and
+        # a fused (z, w) query at p_large = 8
+        series = simulate(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12), 4000, seed=seed)
+        budget = finite_window_budget(series, p_small, p_large, (1, 12), config)
+        assert repr(budget) == (
+            f"FiniteWindowBudget(horizons=(1, 12), p_small={p_small}, "
+            f"p_large={p_large}, delta_nats={expected!r})"
         )
 
     @pytest.mark.parametrize("seed, expected", [
