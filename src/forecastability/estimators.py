@@ -20,22 +20,18 @@ the extra lags w given the leading lags z, estimated in the same style
 so all terms share one neighbourhood per point and the dimension-dependent
 biases of the separate windows cancel instead of adding up.
 
-The k-th neighbour distances come from a k-d tree.  The marginal counts
-take one of three exact paths, chosen from the dimension.  In one
-dimension (the y-marginal, the x-marginal at p=1, the budget's z) the
-points inside a ball are one run of positions in the sorted values, found
-with ``searchsorted``.  In two dimensions (the x-marginal at p=2, the
-budget's (z, y)) the runs on both coordinates make the ball a rectangle of
-rank pairs, counted by a merge-sort tree over the ranks (Bentley, CACM
-23(4), 1980); no float is compared beyond the two runs.  From three
-dimensions on, the count takes two passes.  The points are sorted by
-radius into 32 bins, and each bin runs a k-d tree k-NN query holding 32
-neighbours below the bin's largest radius; this is fast when few points lie
-inside each ball.  Then every point that filled all 32 slots is counted
-again, in one k-d tree ball query.
+The k-th neighbour distances come from a k-d tree.  The dimension alone
+sets the path of each count, and every path is exact.  In one dimension
+(the y-marginal, the x-marginal at p=1, the budget's z) the points inside
+a ball are one run of positions in the sorted values, found with
+``searchsorted``.  In two dimensions (the x-marginal at p=2, the budget's
+(z, y)) the runs on both coordinates make the ball a rectangle of rank
+pairs, counted by a merge-sort tree over the ranks (Bentley, CACM 23(4),
+1980); no float is compared beyond the two runs.  From three dimensions
+on, one k-d tree ball query counts every ball.
 
-A wide marginal, from seven dimensions on (the budget's 13-dimensional
-(z, w), the x-marginal from p = 7), is the joint space without the narrow
+A wide marginal, from four dimensions on (the budget's (z, w), the
+x-marginal from p = 4), is the joint space without the narrow
 coordinates y, so one query gives both ``eps_i`` and its count.  Under the
 max norm a point's joint distance is ``max(d_wide, max|y_j - y_i|)``, the
 same float the joint tree would return.  One k-NN query of the wide tree,
@@ -51,18 +47,16 @@ where the answer is exact by construction.  A widened pass queries fewer
 points at a time, down to one, so that a query holds no more neighbours
 than a first block of 1024 points, or than one point's list.  In the
 budget at n = 20000, h = 12 (seed 0), 699 of 19976 points widen; 683 are
-certified at 68 neighbours and the other 16 at 272.  Below seven
-dimensions the fused query wins on small samples, but on large ones only
-from six dimensions on.  At h = 1 (medians of 11 alternating in-process
-calls at n = 20000 and 41 at n = 1000, 2 cores), one KSG took, fused
-against unfused:
+certified at 68 neighbours and the other 16 at 272.
 
-    p              3        4        5        6        7
-    n = 20000    418/294  426/337  492/459  528/587  750/911 ms
-    n = 1000      14/15    11/19    11/23    11/24    11/22  ms
-
-The fused query starts at seven dimensions until a benchmark workload
-covers profiles at p = 3 to 6.
+The fused query starts at four dimensions, since from there on the ball
+query alone is slower on large samples (about twice as slow at p = 6,
+n = 20000).  The one cost of this rule is a 4-D wide marginal from
+n = 8000 on: there the balls hold more points than the first list, so
+most points widen (14526 of 19996 at p = 4, n = 20000, h = 1), and the
+KSG at p = 4 and the budget from p 1 to 4 run 10-40 % slower than a count
+that holds a bounded neighbour list per point.  No selector wins it back;
+the path stays a function of the dimension.
 
 The tests check the distances and every count path bit for bit against a
 brute-force oracle, which pins down the strict-inequality counting
@@ -135,16 +129,11 @@ _LN2 = math.log(2.0)
 # tie-breaking jitter amplitude, relative to the sample standard deviation
 _JITTER_SCALE = 1e-10
 
-# the k-NN count path holds this many neighbours per point and queries the
-# points in this many bins of ascending radius
-_SLOTS = 32
-_BINS = 32
-
 # from this many dimensions of the wider space on, the joint k-th search and
 # its count run as one fused k-NN query of the wide tree holding _FUSED_SLOTS
 # neighbours per point, in blocks of _BLOCK points, then four times as many
 # for each point not yet certified
-_FUSED_FROM = 7
+_FUSED_FROM = 4
 _FUSED_SLOTS = 16
 _BLOCK = 1024
 
@@ -367,25 +356,17 @@ def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of points strictly inside the max-norm ball of each point
     (the centre point itself included in the count); radii must be > 0.
     The three paths, all exact, are described in the module note: sorted
-    1-D runs, rank-space 2-D rectangles, and from d = 3 two k-d tree
-    passes: the points sorted by radius into _BINS bins, each a bounded
-    k-NN query, then one ball query for the points that filled all _SLOTS
-    slots."""
+    1-D runs, rank-space 2-D rectangles, and from d = 3 one k-d tree ball
+    query."""
     if points.shape[1] == 1:
         lo, hi = _ball_runs(points[:, 0], radii)
         return hi - lo
     if points.shape[1] == 2:
         return _rank_counts(points, radii)
-    tree = _tree(points)
-    slots = min(_SLOTS, len(points))
-    counts = np.empty(len(points), dtype=np.intp)
-    order = np.argsort(radii, kind="stable")
-    for members in np.array_split(order, min(_BINS, len(points))):
-        counts[members] = _bounded_counts(tree, points[members], radii[members], slots)
-    ball = np.flatnonzero(counts == slots)
-    if ball.size:
-        counts[ball] = _ball_counts(tree, points[ball], radii[ball])
-    return counts
+    return _tree(points).query_ball_point(
+        points, np.nextafter(radii, 0.0), p=np.inf,
+        workers=_threads(), return_length=True,
+    )
 
 
 def _ball_runs(values: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,25 +434,6 @@ def _rank_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
         below[at] += (np.searchsorted(keys, base + hi_b[at])
                       - np.searchsorted(keys, base + lo_b[at]))
     return below[:n] - below[n:]
-
-
-def _bounded_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray,
-                    slots: int) -> np.ndarray:
-    """Points of ``tree`` strictly inside each centre's ball, counted among
-    its ``slots`` nearest neighbours; a count of ``slots`` may be short."""
-    bound = np.nextafter(radii.max(), np.inf)
-    dists, _ = tree.query(centres, k=slots, p=np.inf,
-                          distance_upper_bound=bound, workers=_threads())
-    dists = dists.reshape(len(centres), slots)
-    return np.count_nonzero(dists < radii[:, None], axis=1)
-
-
-def _ball_counts(tree: cKDTree, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Points of ``tree`` strictly inside each centre's ball, from the ball query."""
-    return tree.query_ball_point(
-        centres, np.nextafter(radii, 0.0), p=np.inf,
-        workers=_threads(), return_length=True,
-    )
 
 
 def kl_entropy(sample, k: int = 5) -> float:

@@ -304,6 +304,37 @@ class TestEstimateProfile:
             medians.append(float(np.median(errors)))
         assert all(a >= b for a, b in zip(medians, medians[1:]))
 
+    @pytest.mark.parametrize("n, seed, p, expected", [
+        (1000, 0, 3, (0.15877745130426568, 0.5142255757814338)),
+        (1000, 0, 4, (0.15071193578727815, 0.4874512350901403)),
+        (1000, 0, 5, (0.17905191905125228, 0.4702565840230717)),
+        (1000, 0, 6, (0.22689300574803362, 0.4495070518697428)),
+        (1000, 1, 3, (0.20293779900953268, 0.50194977443845)),
+        (1000, 1, 4, (0.23236006439520906, 0.47283982430671223)),
+        (1000, 1, 5, (0.21608768451880422, 0.4111683481284194)),
+        (1000, 1, 6, (0.2033314688247181, 0.40511365635127294)),
+        (1000, 2, 3, (0.08823861603932492, 0.3788034093551218)),
+        (1000, 2, 4, (0.07905251717716233, 0.361659227672984)),
+        (1000, 2, 5, (0.07889171628553804, 0.338192656031552)),
+        (1000, 2, 6, (0.0811060826071408, 0.29657244499640534)),
+        (20000, 0, 3, (0.16077559867649072, 0.5174391805483349)),
+        (20000, 0, 4, (0.15681298756975792, 0.5138932653113617)),
+        (20000, 0, 5, (0.16223889207196507, 0.5034026825143734)),
+        (20000, 0, 6, (0.16159784279972556, 0.4942937461027803)),
+    ])
+    def test_profile_beyond_two_lags_is_pinned_to_the_last_bit(self, n, seed, p, expected,
+                                                                config):
+        # the golden outputs run at p = 2; these cover the x-marginal counts
+        # of three to six dimensions, at both sample sizes
+        series = simulate(GaussianProcessSpec.seasonal_ar(0.5, 0.8, 12), n, seed=seed)
+        profile = estimate_profile(series, InformationSetSpec(p, (1, 12)), config)
+        n_effective = (n - p, n - p - 11)
+        assert repr(profile) == (
+            f"ForecastabilityProfile(horizons=(1, 12), values_nats={expected!r}, "
+            f"source='estimated', estimator_meta=EstimatorMeta(k=5, p={p}, "
+            f"n_effective={n_effective!r}, seed=0))"
+        )
+
 
 class TestFiniteWindowBudget:
     def test_contract(self, white_noise, config):
@@ -340,9 +371,11 @@ class TestFiniteWindowBudget:
         g = np.random.default_rng(7)
         n = 300
         # a narrow (z, w) takes the k-th search and the count, a wide one the
-        # fused query
-        for w_cols, expected in ((2, ["eps", "count", "count", "count"]),
-                                 (6, ["joint", "count", "count"])):
+        # fused query; (1, 2) is a 3-D (z, w) below the fused query
+        for w_cols in (2, 6):
+            expected = (["joint", "count", "count"]
+                        if z_cols + w_cols >= estimators._FUSED_FROM
+                        else ["eps", "count", "count", "count"])
             # exact ties in z, grid values in w (marginal distances land exactly
             # on eps), one-ulp near-ties in w, and 2**-40 steps keeping y distinct
             z = g.integers(0, 4, (n, z_cols)).astype(float)
@@ -429,7 +462,7 @@ def _count_inputs(draw):
     """Points from one pool; each radius is the distance to a drawn partner
     point, nudged by at most one ulp, or one of ``_RADII`` (always > 0)."""
     n = draw(st.integers(1, 70))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
     pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
     points = draw(hnp.arrays(float, (n, d), elements=st.sampled_from(pool)))
     if d > 1 and draw(st.booleans()):
@@ -457,7 +490,7 @@ def _joint_inputs(draw):
         pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
         return draw(hnp.arrays(float, (n, d), elements=st.sampled_from(pool)))
 
-    wide, narrow = points(draw(st.integers(1, 3))), points(draw(st.integers(1, 2)))
+    wide, narrow = points(draw(st.integers(1, 6))), points(draw(st.integers(1, 2)))
     if draw(st.booleans()):
         narrow[:, 0] += np.arange(n) * 2.0 ** -40
     if draw(st.booleans()):
@@ -468,9 +501,9 @@ def _joint_inputs(draw):
 
 
 def clumped(n, d=3):
-    """Uniform points with a clump whose members hold more than the k-NN
-    slots at any radius, so that a count from d = 3 on runs the ball-query
-    pass; radii from 1e-4 to 2 in random order."""
+    """Uniform points with a clump whose members hold more than the fused
+    query's first neighbour list at any radius, so that the clump widens
+    its query; radii from 1e-4 to 2 in random order."""
     g = np.random.default_rng(3)
     points = g.uniform(0.0, 1.0, (n, d))
     points[:60] = 0.5 + g.uniform(0.0, 1e-6, (60, d))
@@ -482,15 +515,14 @@ def record_workers(monkeypatch, held=None):
     the site is "fused" for a query holding one of the fused query's
     neighbour counts (_FUSED_SLOTS + 1, then four times as many at each
     widening, clamped to the tree size; so k + 1 must be none of them),
-    else "kth", "bounded" or "ball".  A k-NN query also appends its
+    else "kth" or "ball".  A k-NN query also appends its
     ``(rows, neighbours)`` to the list ``held``, if one is given."""
     log = []
 
     class Tree(scipy.spatial.cKDTree):
         def query(self, x, k, **kwargs):
             widths = {min((estimators._FUSED_SLOTS + 1) * 4 ** j, self.n) for j in range(16)}
-            site = ("bounded" if "distance_upper_bound" in kwargs
-                    else "fused" if k in widths else "kth")
+            site = "fused" if k in widths else "kth"
             log.append((site, kwargs["workers"]))
             if held is not None:
                 held.append((len(x), k))
@@ -512,11 +544,11 @@ class TestThreadCount:
         x, y = gaussian_pair(0.6, 1000, 0)
         ksg_mutual_information(x, y, k=5)
         assert log == [("kth", 1)]
-        # a 3-D x-marginal: the joint search and both count passes
+        # a 3-D x-marginal: the joint search and the ball query
         g = np.random.default_rng(1)
         xm = np.vstack([g.standard_normal((1000, 3)), 1e-9 * g.standard_normal((40, 3))])
         ksg_mutual_information(xm, xm[:, 0] + g.standard_normal(1040), k=5)
-        assert {site for site, _ in log} == {"kth", "bounded", "ball"}
+        assert {site for site, _ in log} == {"kth", "ball"}
         assert all(workers == 1 for _, workers in log)
 
     def test_a_large_count_tree_stays_threaded(self, monkeypatch):
@@ -526,12 +558,12 @@ class TestThreadCount:
             points, radii = clumped(n)
             log = record_workers(monkeypatch)
             estimators._counts_within(points, radii)
-            assert {site for site, _ in log} == {"bounded", "ball"}
+            assert {site for site, _ in log} == {"ball"}
             assert all(workers == 2 for _, workers in log)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_the_thread_count_never_changes_a_result(self, monkeypatch, d):
-        points, radii = clumped(40 * estimators._BINS, d)
+        points, radii = clumped(1280, d)
         # the fused query runs in blocks, the last one short
         assert len(points) % estimators._BLOCK
         narrow = radii[:, None]
@@ -543,7 +575,7 @@ class TestThreadCount:
             plain = (estimators._kth_distances(points, 5),
                      estimators._counts_within(points, radii))
             assert {site for site, _ in log} == (
-                {"kth", "bounded", "ball"} if d >= 3 else {"kth"})
+                {"kth", "ball"} if d >= 3 else {"kth"})
             fused_from, widths_from = len(log), len(held)
             fused = estimators._joint_radii_and_counts(points, narrow, 5)
             # the clump is not certified: it widens its fused query, on the
@@ -664,36 +696,6 @@ class TestCountKernel:
         assert np.array_equal(estimators._counts_within(points, radii),
                               counts_within(points, radii))
 
-    def test_bounded_pass_then_one_ball_query(self, monkeypatch):
-        n = 40 * estimators._BINS
-        points, radii = clumped(n)
-        bounded, ball = [], []
-
-        def record(log, kernel):
-            def wrapper(tree, centres, *args):
-                out = kernel(tree, centres, *args)
-                log.append((centres, out))
-                return out
-            return wrapper
-
-        monkeypatch.setattr(estimators, "_bounded_counts",
-                            record(bounded, estimators._bounded_counts))
-        monkeypatch.setattr(estimators, "_ball_counts",
-                            record(ball, estimators._ball_counts))
-        _, called = kernel_calls_match_oracle(
-            monkeypatch, lambda: estimators._counts_within(points, radii))
-        assert called == ["count"]
-        # every bin is queried once, and the bins hold each point once
-        assert len(bounded) == estimators._BINS
-        queried = np.concatenate([centres for centres, _ in bounded])
-        assert len(queried) == n
-        assert np.array_equal(np.unique(queried, axis=0), np.unique(points, axis=0))
-        # one ball query, on exactly the points that filled all slots
-        full = np.concatenate([centres[out == estimators._SLOTS] for centres, out in bounded])
-        assert 0 < len(full) < n
-        assert len(ball) == 1 and len(ball[0][0]) == len(full)
-        assert np.array_equal(np.unique(ball[0][0], axis=0), np.unique(full, axis=0))
-
     @pytest.mark.parametrize("tie", [lambda c: np.round(c, 1), lambda c: np.full_like(c, c[0])],
                              ids=["runs", "constant"])
     def test_rank_path_runs_in_two_dimensions(self, monkeypatch, tie):
@@ -707,11 +709,10 @@ class TestCountKernel:
         radii[::2] = np.nextafter(radii[::2], np.inf)
         radii[1::4] = np.nextafter(radii[1::4], 0.0)
 
-        def unused(*args):
-            raise AssertionError("a k-d tree count ran on 2-D points")
+        def unused(points):
+            raise AssertionError("a k-d tree was built on 2-D points")
 
-        monkeypatch.setattr(estimators, "_bounded_counts", unused)
-        monkeypatch.setattr(estimators, "_ball_counts", unused)
+        monkeypatch.setattr(estimators, "_tree", unused)
         _, called = kernel_calls_match_oracle(
             monkeypatch, lambda: estimators._counts_within(points, radii))
         assert called == ["count"]
