@@ -108,7 +108,10 @@ def seasonal_ar_acf(phi: float, Phi: float, s: int, max_lag: int) -> np.ndarray:
                    + sum_{m=1..q} Phi^m phi^(h - m*s)
 
     whose last sum obeys ``S(h) = Phi (phi^(h-s) + S(h-s))``.  Time and memory
-    are O(max_lag) whatever ``s``, ``phi`` and ``Phi``.
+    are O(max_lag) whatever ``s``, ``phi`` and ``Phi``.  Terms of order one add
+    up to ``gamma(0) ~ (1 + Phi phi^s) / (1 - Phi phi^s)``, so rounding error
+    grows like ``1 / (1 + Phi phi^s)``: about 2e-14 at phi = 0.99,
+    Phi = -0.99, s = 1.
     """
     s = GaussianProcessSpec.seasonal_ar(phi, Phi, s).s
     max_lag = _integer(max_lag, 1, ValueError, "max_lag must be an integer >= 1")

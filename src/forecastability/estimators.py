@@ -20,43 +20,43 @@ the extra lags w given the leading lags z, estimated in the same style
 so all terms share one neighbourhood per point and the dimension-dependent
 biases of the separate windows cancel instead of adding up.
 
-The k-th neighbour distances come from a k-d tree.  The dimension alone
-sets the path of each count, and every path is exact.  In one dimension
-(the y-marginal, the x-marginal at p=1, the budget's z) the points inside
-a ball are one run of positions in the sorted values, found with
-``searchsorted``.  In two dimensions (the x-marginal at p=2, the budget's
-(z, y)) the runs on both coordinates make the ball a rectangle of rank
-pairs, counted by a merge-sort tree over the ranks (Bentley, CACM 23(4),
-1980); no float is compared beyond the two runs.  From three dimensions
-on, one k-d tree ball query counts every ball.
+The dimension alone sets the path of each neighbour search, and every
+path is exact; ``_neighbour_counts`` applies it, once per KSG estimate.
+``eps_i`` comes from one k-d tree query of the joint space, or, from four
+dimensions of the wide marginal on (the budget's (z, w), the x-marginal
+from p = 4), from the fused query below, which gives that marginal's count
+with it.  Every other count takes the path of its own dimension.  In one
+dimension (the y-marginal, the x-marginal at p=1, the budget's z) the
+points inside a ball are one run of positions in the sorted values, found
+with ``searchsorted``.  In two dimensions (the x-marginal at p=2, the
+budget's (z, y)) the runs on both coordinates make the ball a rectangle of
+rank pairs, counted by a merge-sort tree over the ranks (Bentley, CACM
+23(4), 1980); no float is compared beyond the two runs.  From three
+dimensions on, one k-d tree ball query counts every ball.
 
-A wide marginal, from four dimensions on (the budget's (z, w), the
-x-marginal from p = 4), is the joint space without the narrow
-coordinates y, so one query gives both ``eps_i`` and its count.  Under the
-max norm a point's joint distance is ``max(d_wide, max|y_j - y_i|)``, the
-same float the joint tree would return.  One k-NN query of the wide tree,
-in blocks of 1024 points, holds each point's 16 nearest neighbours and the
-point itself; ``eps_i`` is the k-th smallest joint distance among them, and
-the count is the number with ``d_wide < eps_i``.  Both are exact when the
-farthest of them lies at ``eps_i`` or beyond in the wide space: every
-other point is at least as far there, so it can neither come closer in the
-joint space nor fall strictly inside the ball.  A point without this
-certificate is queried again on the same tree, holding four times as many
-neighbours (68, 272, ...), until it is certified or holds all N points,
-where the answer is exact by construction.  A widened pass queries fewer
-points at a time, down to one, so that a query holds no more neighbours
-than a first block of 1024 points, or than one point's list.  In the
-budget at n = 20000, h = 12 (seed 0), 699 of 19976 points widen; 683 are
-certified at 68 neighbours and the other 16 at 272.
+The fused query uses that the wide marginal is the joint space without the
+narrow coordinates y.  Under the max norm a point's joint distance is
+``max(d_wide, max|y_j - y_i|)``, the same float the joint tree would
+return.  One k-NN query of the wide tree, in blocks of 1024 points, holds
+each point's 16 nearest neighbours and the point itself; ``eps_i`` is the
+k-th smallest joint distance among them, and the count is the number with
+``d_wide < eps_i``.  Both are exact when the farthest of them lies at
+``eps_i`` or beyond in the wide space: every other point is at least as
+far there, so it can neither come closer in the joint space nor fall
+strictly inside the ball.  A point without this certificate is queried
+again on the same tree, holding four times as many neighbours (68, 272,
+...), until it is certified or holds all N points, where the answer is
+exact by construction.  A widened pass queries fewer points at a time,
+down to one, so that a query holds no more neighbours than a first block
+of 1024 points, or than one point's list.
 
 The fused query starts at four dimensions, since from there on the ball
 query alone is slower on large samples (about twice as slow at p = 6,
 n = 20000).  The one cost of this rule is a 4-D wide marginal from
 n = 8000 on: there the balls hold more points than the first list, so
-most points widen (14526 of 19996 at p = 4, n = 20000, h = 1), and the
-KSG at p = 4 and the budget from p 1 to 4 run 10-40 % slower than a count
-that holds a bounded neighbour list per point.  No selector wins it back;
-the path stays a function of the dimension.
+most points widen, and the KSG at p = 4 and the budget from p 1 to 4 run
+10-40 % slower than a count that holds a bounded neighbour list per point.
+No selector wins it back; the path stays a function of the dimension.
 
 The tests check the distances and every count path bit for bit against a
 brute-force oracle, which pins down the strict-inequality counting
@@ -76,11 +76,7 @@ starts no thread at all.  The thread count never changes a result: the
 jitter is drawn before mapping, every task is a pure function of its
 inputs, and each query point is answered on its own.  Each task builds its
 own lag embedding, so the memory held grows with the cores, not the
-horizons.  Medians of 10 cold runs of the benchmark on 2 cores (Python
-3.11.7): a ``significance`` run (199 replicates at three horizons,
-n = 1000) took 1.80 s wall against 2.42 s serially, and 3.02 s CPU against
-2.67 s; of 6 runs, a 36-horizon ``profile`` at n = 20000 took 2.99 s wall
-against 3.38 s.
+horizons.
 
 Sample points must be pairwise distinct.  Series-level entry points handle
 this the same way every time: they standardize the series to zero mean and
@@ -129,10 +125,9 @@ _LN2 = math.log(2.0)
 # tie-breaking jitter amplitude, relative to the sample standard deviation
 _JITTER_SCALE = 1e-10
 
-# from this many dimensions of the wider space on, the joint k-th search and
-# its count run as one fused k-NN query of the wide tree holding _FUSED_SLOTS
-# neighbours per point, in blocks of _BLOCK points, then four times as many
-# for each point not yet certified
+# the fused query of the module note: the dimension of the wide marginal it
+# starts at, the neighbours its first pass holds per point, and the points
+# in each block of that pass
 _FUSED_FROM = 4
 _FUSED_SLOTS = 16
 _BLOCK = 1024
@@ -304,14 +299,17 @@ def _kth_distances(points: np.ndarray, k: int) -> np.ndarray:
     return _nonzero(dists[:, k])
 
 
-def _radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
-    """``eps`` in the joint (wide, narrow) space and the counts within it in
-    ``wide``: the fused query from _FUSED_FROM dimensions of ``wide`` on,
-    a k-th search and a count below."""
+def _neighbour_counts(wide: np.ndarray, narrow: np.ndarray, k: int, *marginals):
+    """The counts of points strictly inside each point's ``eps_i``, its k-th
+    neighbour distance in the joint (wide, narrow) space, the centre
+    included: in ``wide``, then in each of ``marginals``.  The module note
+    states which path each takes."""
     if wide.shape[1] >= _FUSED_FROM:
-        return _joint_radii_and_counts(wide, narrow, k)
-    eps = _kth_distances(np.hstack([wide, narrow]), k)
-    return eps, _counts_within(wide, eps)
+        eps, counts = _joint_radii_and_counts(wide, narrow, k)
+    else:
+        eps = _kth_distances(np.hstack([wide, narrow]), k)
+        counts = _counts_within(wide, eps)
+    return (counts, *(_counts_within(m, eps) for m in marginals))
 
 
 def _joint_radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
@@ -319,12 +317,9 @@ def _joint_radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
     joint (wide, narrow) space, and the number of points strictly inside it
     in ``wide``, the centre included; both equal
     ``_kth_distances(hstack([wide, narrow]), k)`` and
-    ``_counts_within(wide, eps)`` bit for bit.  The first query holds each
-    point's K+1 nearest neighbours in ``wide``, itself included, with
-    ``K = max(_FUSED_SLOTS, k)`` clamped to N - 1; each point without the
-    certificate of the module note is queried again holding four times as
-    many, up to all N points, in blocks that hold no more neighbours than
-    a first block of _BLOCK points, or than one point's list.
+    ``_counts_within(wide, eps)`` bit for bit, by the fused query of the
+    module note; its first pass holds ``max(_FUSED_SLOTS, k)`` neighbours
+    per point, at most N - 1.
     """
     n = len(wide)
     k = _checked_k(k, n)
@@ -355,9 +350,7 @@ def _joint_radii_and_counts(wide: np.ndarray, narrow: np.ndarray, k: int):
 def _counts_within(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Number of points strictly inside the max-norm ball of each point
     (the centre point itself included in the count); radii must be > 0.
-    The three paths, all exact, are described in the module note: sorted
-    1-D runs, rank-space 2-D rectangles, and from d = 3 one k-d tree ball
-    query."""
+    The dimension picks the path, as the module note states."""
     if points.shape[1] == 1:
         lo, hi = _ball_runs(points[:, 0], radii)
         return hi - lo
@@ -459,8 +452,7 @@ def ksg_mutual_information(x, y, k: int = 5) -> float:
     if xs.shape[0] != ys.shape[0]:
         raise ConfigError("x and y must have the same number of samples")
     # counts include the centre point, i.e. equal n_x + 1 in the KSG formula
-    eps, nx = _radii_and_counts(xs, ys, k)
-    ny = _counts_within(ys, eps)
+    nx, ny = _neighbour_counts(xs, ys, k, ys)
     return float(
         digamma(k) + digamma(len(xs)) - np.mean(digamma(nx) + digamma(ny))
     )
@@ -474,9 +466,7 @@ def _ksg_conditional_mutual_information(window, p_small: int, y, k: int) -> floa
     zw, ys = _as_points(window), _as_points(y)
     z = zw[:, :p_small]
     # counts include the centre point, i.e. equal n + 1 in the estimator
-    eps, n_zw = _radii_and_counts(zw, ys, k)
-    n_zy = _counts_within(np.hstack([z, ys]), eps)
-    n_z = _counts_within(z, eps)
+    n_zw, n_zy, n_z = _neighbour_counts(zw, ys, k, np.hstack([z, ys]), z)
     return float(
         digamma(k) - np.mean(digamma(n_zw) + digamma(n_zy) - digamma(n_z))
     )

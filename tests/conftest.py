@@ -8,6 +8,10 @@ from forecastability import EstimatorConfig, GaussianProcessSpec, simulate
 settings.register_profile("deterministic", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("deterministic")
+# the same, at 2000 examples a property; CI selects it with
+# --hypothesis-profile=thorough for the oracle property tests
+settings.register_profile("thorough", parent=settings.get_profile("deterministic"),
+                          max_examples=2000)
 
 
 @pytest.fixture(scope="session")

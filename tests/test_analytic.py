@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,25 @@ def psi_weights_acf(phi, Phi, s, max_lag, n_terms=100_000):
     psi = lfilter([1.0], poles, impulse)
     gammas = np.array([psi[: n_terms - h] @ psi[h:] for h in range(max_lag + 1)])
     return gammas[1:] / gammas[0]
+
+
+def exact_seasonal_acf(phi, Phi, s, max_lag):
+    """Oracle: the closed form of ``seasonal_ar_acf`` in exact rational
+    arithmetic.  Float inputs are exact binary fractions, and carrying
+    ``gamma(h) (1 - Phi phi^s)`` instead of ``gamma(h)`` keeps every value a
+    binary fraction until the final division, which keeps the arithmetic
+    fast."""
+    phi, Phi = Fraction(phi), Fraction(Phi)
+    wrap = 1 - Phi * phi ** s
+    inner = [Fraction(0)] * (max_lag + 1)
+    scaled = []
+    for h in range(max_lag + 1):
+        q = h // s
+        if q:
+            inner[h] = Phi * (phi ** (h - s) + inner[h - s])
+        scaled.append(phi ** h + Phi ** (q + 1) * phi ** ((q + 1) * s - h)
+                      + wrap * inner[h])
+    return [g / scaled[0] for g in scaled[1:]]
 
 
 class TestAr1Profile:
@@ -119,6 +140,15 @@ class TestSeasonalAcf:
         rho = seasonal_ar_acf(phi, Phi, s, max_lag)
         oracle = psi_weights_acf(phi, Phi, s, max_lag)
         assert np.max(np.abs(rho - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("phi,Phi,s", list(itertools.product(
+        (-0.99, 0.3, 0.99), (-0.99, -0.5, 0.8, 0.99), (1, 2, 12))))
+    def test_rounding_error_grows_only_as_the_conditioning(self, phi, Phi, s):
+        # 1 + Phi phi^s is 0.0199 at (0.99, -0.99, 1), where the error is 2.2e-14
+        rho = seasonal_ar_acf(phi, Phi, s, 48)
+        exact = exact_seasonal_acf(phi, Phi, s, 48)
+        error = max(abs(Fraction(r) - e) for r, e in zip(rho.tolist(), exact))
+        assert error <= 16 * np.finfo(float).eps / (1 + Phi * phi ** s)
 
     @pytest.mark.parametrize("Phi", [0.999, 0.9999])
     def test_satisfies_ar_recursion_near_unit_root(self, Phi):

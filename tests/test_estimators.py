@@ -304,6 +304,7 @@ class TestEstimateProfile:
             medians.append(float(np.median(errors)))
         assert all(a >= b for a, b in zip(medians, medians[1:]))
 
+    @pytest.mark.one_core
     @pytest.mark.parametrize("n, seed, p, expected", [
         (1000, 0, 3, (0.15877745130426568, 0.5142255757814338)),
         (1000, 0, 4, (0.15071193578727815, 0.4874512350901403)),
@@ -364,14 +365,15 @@ class TestFiniteWindowBudget:
         assert not math.isnan(budget.delta_nats[0])
         assert math.isnan(budget.delta_nats[1])
 
-    @pytest.mark.parametrize("z_cols", [1, 2])
+    @pytest.mark.parametrize("z_cols", [1, 2, 3])
     def test_conditional_counts_brute_force_matches_tree_exactly(
         self, z_cols, monkeypatch
     ):
         g = np.random.default_rng(7)
         n = 300
         # a narrow (z, w) takes the k-th search and the count, a wide one the
-        # fused query; (1, 2) is a 3-D (z, w) below the fused query
+        # fused query; (1, 2) is a 3-D (z, w) below the fused query, and at
+        # z_cols = 3 both narrow counts, (z, y) and z, take the ball query
         for w_cols in (2, 6):
             expected = (["joint", "count", "count"]
                         if z_cols + w_cols >= estimators._FUSED_FROM
@@ -403,6 +405,7 @@ class TestFiniteWindowBudget:
             f"delta_nats={expected!r})"
         )
 
+    @pytest.mark.one_core
     @pytest.mark.parametrize("p_small, p_large, seed, expected", [
         (2, 13, 0, (0.2880870704883547, 0.04673601954185491)),
         (2, 13, 1, (0.2846517388915424, 0.033501965354645336)),
@@ -427,6 +430,7 @@ class TestFiniteWindowBudget:
             f"p_large={p_large}, delta_nats={expected!r})"
         )
 
+    @pytest.mark.one_core
     @pytest.mark.parametrize("seed, expected", [
         (0, 0.025090226732240373),
         (1, 0.02731130292836159),

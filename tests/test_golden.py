@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 
 from forecastability.cli import main
@@ -109,6 +110,7 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.one_core
 def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runner = CliRunner()
