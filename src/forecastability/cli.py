@@ -135,12 +135,14 @@ def _die(code: int, message: str):
 
 
 class _ContractGroup(click.Group):
-    """Maps package errors, raised while a command parses its flags or runs,
-    to the documented exit codes with one ``error:`` line."""
+    """Maps usage and package errors, raised while a command is resolved,
+    parses its flags or runs, to the exit codes with one ``error:`` line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            _die(_EXIT_CONTRACT, exc.format_message())
         except InsufficientData as exc:
             _die(_EXIT_NO_DATA, str(exc))
         except ForecastabilityError as exc:
@@ -152,18 +154,12 @@ class _ContractGroup(click.Group):
 # ---------------------------------------------------------------- parsing
 
 
-def _at_least(minimum: int):
-    """A flag callback that rejects values below ``minimum`` (None passes)."""
-    def check(ctx, param, value):
-        if value is not None and value < minimum:
-            raise ParseError(f"{param.opts[0]} must be >= {minimum}, got {value}")
-        return value
-    return check
-
-
 def _at_most(flag: str, value: int, maximum: float):
+    """A bound that involves a second flag or differs by command, worded as
+    click words the range of an option's type."""
     if value > maximum:
-        raise ParseError(f"{flag} must be <= {maximum}, got {value}")
+        raise click.BadParameter(f"{value} is not in the range x<={maximum}.",
+                                 param_hint=f"'{flag}'")
 
 
 def parse_horizons(text: str) -> tuple[int, ...]:
@@ -369,7 +365,7 @@ _series_argument = click.argument(
     "input", metavar="INPUT_CSV", type=click.Path(exists=True, dir_okay=False)
 )
 _lags_option = click.option(
-    "--lags", type=int, default=1, show_default=True, callback=_at_least(1),
+    "--lags", type=click.IntRange(min=1), default=1, show_default=True,
     help="Lag-window order p of the conditioning set.",
 )
 _horizons_option = click.option(
@@ -377,12 +373,11 @@ _horizons_option = click.option(
     callback=lambda ctx, param, text: parse_horizons(text),
 )
 _k_option = click.option(
-    "--k", type=int, default=EstimatorConfig.k, show_default=True,
-    callback=_at_least(1),
+    "--k", type=click.IntRange(min=1), default=EstimatorConfig.k, show_default=True,
     help="Neighbour count of the mutual-information estimator.",
 )
 _seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True, callback=_at_least(0),
+    "--seed", type=click.IntRange(min=0), default=0, show_default=True,
     help="Seed of every random draw.",
 )
 _units_option = click.option(
@@ -414,11 +409,10 @@ def _gaussian_spec(model: str, phi: float, Phi: float | None, s: int | None,
 @_process_options
 @click.option("--sigma2", type=float, default=1.0, show_default=True,
               help="Innovation variance.")
-@click.option("--n", type=int, required=True, callback=_at_least(2),
+@click.option("--n", type=click.IntRange(2, _MAX_FLOAT_ARRAY), required=True,
               help="Number of observations to keep.")
 @_seed_option
-@click.option("--burn-in", type=int, default=1000, show_default=True,
-              callback=_at_least(0))
+@click.option("--burn-in", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_simulate(model, phi, Phi, s, sigma2, n, seed, burn_in, out):
     """Simulate a Gaussian AR path and write it as a value-column CSV.
@@ -427,7 +421,6 @@ def cmd_simulate(model, phi, Phi, s, sigma2, n, seed, burn_in, out):
     estimation from the file matches in-memory estimation exactly.
     """
     # the kept path and its burn-in are drawn as one array
-    _at_most("--n", n, _MAX_FLOAT_ARRAY)
     _at_most("--burn-in", burn_in, _MAX_FLOAT_ARRAY - n)
     spec = _gaussian_spec(model, phi, Phi, s, sigma2)
     # the recursion keeps min(s, n + burn-in) + 1 past values, but a period
@@ -501,8 +494,8 @@ def cmd_profile(input, lags, horizons, k, seed, units, out, plot):
 @_lags_option
 @_horizons_option
 @_k_option
-@click.option("--replicates", type=int, required=True,
-              callback=_at_least(_MIN_REPLICATES), help="Permutation count B.")
+@click.option("--replicates", type=click.IntRange(min=_MIN_REPLICATES), required=True,
+              help="Permutation count B.")
 @_seed_option
 @_out_option
 def cmd_significance(input, lags, horizons, k, replicates, seed, out):
@@ -540,7 +533,7 @@ def cmd_significance(input, lags, horizons, k, replicates, seed, out):
                 type=click.Path(exists=True, dir_okay=False))
 @_lags_option
 @_k_option
-@click.option("--alphabet", type=int, default=None, callback=_at_least(2),
+@click.option("--alphabet", type=click.IntRange(min=2), default=None,
               help="Alphabet size M; adds the misclassification floor column.")
 @_seed_option
 @_out_option

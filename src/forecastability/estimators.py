@@ -386,12 +386,10 @@ def _below_ball(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
     ordered = np.sort(values)
     edge = np.searchsorted(ordered, values - radii)
     # the edge stops at the latest at the first copy of v_i, which passes
-    todo = np.arange(values.size)
+    todo = np.flatnonzero(~(np.abs(ordered[edge] - values) < radii))
     while todo.size:
-        at = edge[todo]
-        outside = ~(np.abs(ordered[at] - values[todo]) < radii[todo])
-        todo = todo[outside]
-        edge[todo] = np.searchsorted(ordered, ordered[at[outside]], "right")
+        edge[todo] = np.searchsorted(ordered, ordered[edge[todo]], "right")
+        todo = todo[~(np.abs(ordered[edge[todo]] - values[todo]) < radii[todo])]
     return edge
 
 
