@@ -89,7 +89,8 @@ def ar1_profile(phi: float, horizons) -> ForecastabilityProfile:
     """Exact profile of a stationary AR(1): F(h) = -0.5*log(1 - phi^(2h))."""
     GaussianProcessSpec.ar1(phi)
     horizons = _ascending_horizons(horizons)
-    values = tuple(-0.5 * math.log1p(-(phi ** (2 * h))) for h in horizons)
+    # phi^(2^63) rounds to 0.0 for |phi| < 1: the clamp only keeps 2h a float
+    values = tuple(-0.5 * math.log1p(-(phi ** (2 * min(h, 2 ** 62)))) for h in horizons)
     return ForecastabilityProfile(horizons=horizons, values_nats=values, source="analytic")
 
 

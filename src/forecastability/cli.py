@@ -17,7 +17,8 @@ Conventions shared by every command:
 * all randomness flows from ``--seed``: it seeds the estimator jitter
   directly, and permutation replicate b shuffles with ``seed XOR b``.
 * exit codes: 0 success, 2 usage or contract violation, 3 insufficient data
-  at every requested horizon.
+  at every requested horizon; every exit 2 or 3 prints exactly one
+  ``error:`` line, whether click or the package finds the problem.
 
 Values are reported in nats by default; ``--units bits`` divides by ln 2.
 """
@@ -135,12 +136,15 @@ def _die(code: int, message: str):
 
 
 class _ContractGroup(click.Group):
-    """Maps usage and package errors, raised while a command is resolved,
-    parses its flags or runs, to the exit codes with one ``error:`` line."""
+    """The one exit path of the command line: maps usage and package errors,
+    raised anywhere in it, to the exit codes with one ``error:`` line."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
+    def main(self, *args, **extra):
+        try:  # click itself handles only --help, --version and a broken pipe
+            return super().main(*args, **{**extra, "standalone_mode": False})
+        except click.Abort:  # Ctrl-C, worded as click words it
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
         except click.UsageError as exc:
             _die(_EXIT_CONTRACT, exc.format_message())
         except InsufficientData as exc:
@@ -341,7 +345,7 @@ def _emit_profile(profile: ForecastabilityProfile, units: str, manifest: RunMani
 # ---------------------------------------------------------------- commands
 
 
-@click.group(cls=_ContractGroup)
+@click.group(cls=_ContractGroup, no_args_is_help=False)
 @click.version_option(version=__version__)
 def main():
     """Horizon-resolved forecastability diagnostics for univariate series."""
@@ -494,8 +498,8 @@ def cmd_profile(input, lags, horizons, k, seed, units, out, plot):
 @_lags_option
 @_horizons_option
 @_k_option
-@click.option("--replicates", type=click.IntRange(min=_MIN_REPLICATES), required=True,
-              help="Permutation count B.")
+@click.option("--replicates", type=click.IntRange(_MIN_REPLICATES, sys.maxsize),
+              required=True, help="Permutation count B.")
 @_seed_option
 @_out_option
 def cmd_significance(input, lags, horizons, k, replicates, seed, out):

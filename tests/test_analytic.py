@@ -96,6 +96,16 @@ class TestAr1Profile:
     def test_source_is_analytic(self):
         assert ar1_profile(0.5, (1,)).source == "analytic"
 
+    # (1 - 2**-53)**(2**63) = exp(-1024) rounds to 0.0, so F has reached its
+    # limit +0.0 at 2**62 for every stationary phi, and stays there beyond
+    # the float range, where phi ** (2 * h) would overflow
+    @pytest.mark.parametrize("phi", [0.5, -(1 - 2 ** -53), 0.0])
+    def test_horizons_beyond_the_float_range_give_the_limit(self, phi):
+        horizons = (2 ** 62 - 1, 2 ** 62, 10 ** 400)
+        values = ar1_profile(phi, horizons).values_nats
+        assert [repr(v) for v in values] == ["0.0"] * 3
+        assert values[:2] == tuple(-0.5 * math.log1p(-(phi ** (2 * h))) for h in horizons[:2])
+
 
 class TestSeasonalAcf:
     def test_collapses_to_ar1_when_seasonal_off(self):

@@ -120,6 +120,8 @@ def test_seasonal_flags_with_ar1_exit_2(runner, tmp_path, command, flags):
     ("profile", ["--k", "0", "--lags", "0", "--horizons", "1"], "--k"),
     ("significance", ["--replicates", "5", "--lags", "0", "--horizons", "1"],
      "--replicates"),
+    ("significance", ["--replicates", "99999999999999999999", "--lags", "0",
+                      "--horizons", "1"], "--replicates"),
     ("decompose", ["--k", "0"], "--k"),
     ("simulate", ["--model", "ar1", "--phi", "0.5", "--n", "99999999999999999999",
                   "--seed", "-1"], "--n"),
@@ -182,8 +184,9 @@ def test_unrepresentable_integer_flag_exit_2(runner, tmp_path, flag, args):
     assert not (tmp_path / "x.csv").exists()
 
 
-# Click raises these itself, while it resolves the command or parses its
-# arguments and flags; each is reported as one error line that names what is wrong.
+# Click raises these itself, while it parses the group's flags, resolves the
+# command or parses its arguments and flags; each is reported as one error
+# line that names what is wrong.
 @pytest.mark.parametrize("args,named", [
     (["profile", "{data}"], "'--horizons'"),
     (["profile", "{data}", "--horizons", "1", "--k", "abc"], "'--k'"),
@@ -192,8 +195,10 @@ def test_unrepresentable_integer_flag_exit_2(runner, tmp_path, flag, args):
     (["simulate", "--model", "ar2", "--phi", "0.5", "--n", "10", "--out", "{out}"],
      "'--model'"),
     (["forecast", "{data}", "--horizons", "1"], "'forecast'"),
+    ([], "Missing command"),
+    (["--bogus", "profile", "{data}", "--horizons", "1"], "'--bogus'"),
 ], ids=["missing-option", "not-an-integer", "unknown-option", "missing-file",
-        "unknown-choice", "unknown-command"])
+        "unknown-choice", "unknown-command", "no-arguments", "unknown-group-option"])
 def test_click_usage_error_exit_2(runner, tmp_path, args, named):
     data = tmp_path / "s.csv"
     data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
@@ -204,6 +209,37 @@ def test_click_usage_error_exit_2(runner, tmp_path, args, named):
     assert named in message
     assert result.stderr == message + "\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+# F(h) has reached its limit 0 long before the float range ends, but --plot
+# places horizons on a float axis
+def test_ar1_horizon_beyond_the_float_range(runner, tmp_path):
+    args = ["analytic", "--model", "ar1", "--phi", "0.5", "--horizons", "1,1" + "0" * 400]
+    result = run_ok(runner, args)
+    assert result.output.splitlines()[-1] == "1" + "0" * 400 + ",0"
+    result = runner.invoke(main, [*args, "--plot", str(tmp_path / "x.svg")])
+    assert "--plot needs horizons below 2**53" in assert_contract_exit(result, 2)
+    assert not (tmp_path / "x.svg").exists()
+
+
+# click handles --help (test_console_script_target_prints_help) and
+# --version itself, and Ctrl-C ends a command with click's own message
+def test_version_exit_0(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output + repr(result.exception)
+    assert result.output == "main, version 0.1.0\n"
+    assert result.stderr == ""
+
+
+def test_interrupt_prints_aborted_exit_1(runner, tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "estimate_profile", interrupt)
+    data = tmp_path / "s.csv"
+    data.write_text("\n".join(str(float(v % 7)) for v in range(50)) + "\n")
+    result = runner.invoke(main, ["profile", str(data), "--horizons", "1"])
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert result.stderr == "\nAborted!\n"
 
 
 # 10**17 float64 values need 711 PiB, more than any 64-bit address space can
@@ -622,7 +658,8 @@ class TestSignificanceCommand:
         result = runner.invoke(main, ["significance", str(data), "--horizons", "1",
                                       "--replicates", str(replicates)])
         message = assert_contract_exit(result, 2)
-        assert message == f"error: replicates must be <= {sys.maxsize}, got {replicates}"
+        assert message == (f"error: Invalid value for '--replicates': {replicates} is not "
+                           f"in the range 19<=x<={sys.maxsize}.")
 
     def test_all_gaps_exit_3(self, runner, tmp_path):
         data = tmp_path / "tiny.csv"

@@ -113,12 +113,12 @@ def test_fuzzed_probe_csv(workdir, text):
 
 
 # Edge values of the flags: 0, +-1, each documented bound and its
-# neighbours, 2**63, 2**64, 10**22, nan, +-inf, -0.0 and 1e308.  A flag that
-# sizes an allocation or a loop takes small values, or values the CLI refuses
-# before it allocates anything: above the longest float array
-# (_MAX_FLOAT_ARRAY) or above sys.maxsize.  2**53 is never a size: numpy
-# could try to allocate it.
-_HUGE = [_MAX_FLOAT_ARRAY + 1, 2 ** 63, 2 ** 64, 10 ** 22]
+# neighbours, 2**63, 2**64, 10**22, 10**400 (beyond the float range), nan,
+# +-inf, -0.0 and 1e308.  A flag that sizes an allocation or a loop takes
+# small values, or values the CLI refuses before it allocates anything: above
+# the longest float array (_MAX_FLOAT_ARRAY) or above sys.maxsize.  2**53 is
+# never a size: numpy could try to allocate it.
+_HUGE = [_MAX_FLOAT_ARRAY + 1, 2 ** 63, 2 ** 64, 10 ** 22, 10 ** 400]
 
 
 def _edges(common, rare):
